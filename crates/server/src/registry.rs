@@ -1333,11 +1333,15 @@ fn process_lane(
     }
     // Slow-query ring: lane (non-read) commands only — pool reads
     // complete out of admission order, so recording them would make
-    // `slowlog` bytes depend on `--read-workers`. The threshold decides
-    // membership by wall clock, but entries carry no timing, keeping
-    // the rendered bytes deterministic (always, with `--slow-ms 0`).
+    // `slowlog` bytes depend on `--read-workers`. `shutdown` is server
+    // control, not a session query: recording it would republish the
+    // snapshot under a pool `slowlog` read admitted before it. The
+    // threshold decides membership by wall clock, but entries carry no
+    // timing, keeping the rendered bytes deterministic (always, with
+    // `--slow-ms 0`).
     let mut recorded_slow = false;
-    if let Some(limit) = registry.slow_ms.filter(|_| !panicked && !cmd.is_read()) {
+    let is_query = !cmd.is_read() && !matches!(cmd, Command::Shutdown);
+    if let Some(limit) = registry.slow_ms.filter(|_| !panicked && is_query) {
         if exec >= Duration::from_millis(limit) {
             session.note_slow(meta.request_id, name);
             recorded_slow = true;

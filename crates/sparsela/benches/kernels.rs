@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparsela::kaczmarz::randomized_kaczmarz;
 use sparsela::sampling::{NormSampler, UniformSampler};
 use sparsela::{CsrBuilder, CsrMatrix};
 use std::hint::black_box;
@@ -72,32 +71,5 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kaczmarz(c: &mut Criterion) {
-    // A consistent diagonally-dominant system Kaczmarz solves quickly.
-    let n = 200;
-    let mut b = CsrBuilder::new(n);
-    for i in 0..n {
-        b.push_row(&[(i, 10.0), ((i + 1) % n, 1.0)]);
-    }
-    let a = b.build();
-    let x_true: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.1).collect();
-    let rhs = a.matvec(&x_true);
-    let mut group = c.benchmark_group("kaczmarz");
-    group.sample_size(20);
-    group.bench_function("diag200", |bch| {
-        bch.iter(|| {
-            let mut rng = StdRng::seed_from_u64(6);
-            black_box(randomized_kaczmarz(&a, &rhs, 1e-8, 50_000, &mut rng))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_matvec,
-    bench_row_ops,
-    bench_sampling,
-    bench_kaczmarz
-);
+criterion_group!(benches, bench_matvec, bench_row_ops, bench_sampling);
 criterion_main!(benches);

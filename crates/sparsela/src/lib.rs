@@ -11,13 +11,11 @@
 //! - [`sampling`] — uniform row sampling (Algorithm 1 of the paper) and
 //!   norm-proportional row sampling (the randomized-Kaczmarz distribution
 //!   of Eq. (11));
-//! - [`kaczmarz`] — a reference randomized Kaczmarz solver;
 //! - [`vecops`] — the handful of dense vector operations used everywhere.
 //!
 //! [`mgba`]: https://docs.rs/mgba
 
 pub mod csr;
-pub mod kaczmarz;
 pub mod sampling;
 pub mod vecops;
 
