@@ -9,7 +9,6 @@
 //! | [`scg`]      | SCG + w/o RS | Algorithm 2: stochastic conjugate gradient with randomized-Kaczmarz row draws |
 //! | [`sampling`] | SCG + RS     | Algorithm 1: uniform row sampling with doubling, SCG inner solver |
 //! | [`cgnr`]     | —            | conjugate gradient on the normal equations with an active-set penalty loop; the accuracy oracle used for Fig. 3/Fig. 4 |
-//! | [`ista`]     | —            | L1-regularized FISTA (extension): enforces the sparsity Fig. 3 observes |
 //!
 //! All stochastic solvers share the convergence rule: every
 //! `check_window` iterations the penalized objective is estimated on a
@@ -20,7 +19,6 @@
 pub mod cgnr;
 pub mod gd;
 pub(crate) mod guard;
-pub mod ista;
 pub mod sampling;
 pub mod scg;
 

@@ -16,8 +16,9 @@
 //!   addressing, `hello` negotiation, structured error codes) and
 //!   response envelopes; all failures route through
 //!   [`mgba::MgbaError`].
-//! - [`session`] — one resident design + engine + weights, and every
-//!   command handler.
+//! - [`session`] — one resident design + engine + weights, every
+//!   command handler, and the journal whose replay rebuilds a session
+//!   after a panic or a restart.
 //! - [`registry`] — the session shard map: per-session writer lanes,
 //!   published read snapshots, write-ticket ordering, merged
 //!   stats/metrics views.

@@ -274,13 +274,13 @@ pub enum Command {
         /// calibrated path set (slower: N PBA batch retimes).
         pba: bool,
     },
-    /// Serialize the session (design spec, period, fitted weights) for
-    /// warm restart.
+    /// Serialize the session (design spec, period, committed resizes,
+    /// fitted weights) as checkpoint text.
     Snapshot {
         /// Destination file path.
         file: String,
     },
-    /// Rebuild the session from a snapshot file.
+    /// Rebuild the session's design from a snapshot file.
     Restore {
         /// Snapshot file path.
         file: String,
@@ -377,6 +377,20 @@ impl Command {
                 | Command::Lint
                 | Command::Slowlog
                 | Command::History
+        )
+    }
+
+    /// True for commands that change session state on success: the
+    /// lane journals them, mirrors them to the WAL under `--state-dir`,
+    /// and publishes a fresh read snapshot after them.
+    pub(crate) fn is_state_changing(&self) -> bool {
+        matches!(
+            self,
+            Command::Load { .. }
+                | Command::Calibrate { .. }
+                | Command::Commit { .. }
+                | Command::Recalibrate { .. }
+                | Command::Restore { .. }
         )
     }
 }

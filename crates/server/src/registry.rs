@@ -36,7 +36,7 @@
 //! work that was never admitted.
 
 use crate::proto::{self, Command, EnvMeta};
-use crate::session::{self, ServerInfo, Session};
+use crate::session::{self, Journal, ServerInfo, Session};
 use crate::stats::{CommandStats, LatencyHist};
 use crate::wal;
 use mgba::MgbaError;
@@ -596,7 +596,7 @@ impl Registry {
         // read or write — already observes the recovered state.
         let state = match &self.durability {
             Some(cfg) => Durability::open(cfg, &handle, &self.wal_counters),
-            None => (Session::new(), None),
+            None => Lane::default(),
         };
         let (lane_tx, lane_rx) = mpsc::sync_channel::<LaneJob>(self.queue_depth);
         let lane = {
@@ -690,64 +690,6 @@ impl Registry {
     }
 }
 
-/// True for commands that change session state and therefore require a
-/// fresh snapshot publish on success.
-fn is_state_changing(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Load { .. }
-            | Command::Calibrate { .. }
-            | Command::Commit { .. }
-            | Command::Recalibrate { .. }
-            | Command::Restore { .. }
-    )
-}
-
-/// True for logged commands whose execution *reads* the frozen warm
-/// calibration cache (which checkpoints cannot capture). The checkpoint
-/// anchor may only advance past a command when replaying it from a
-/// cache-less rebuilt anchor reproduces the same bytes — which holds
-/// exactly when the command ignores the cache (cold fits regenerate it
-/// bit-for-bit; warm refits after a replayed cold fit then match too).
-fn reads_warm_cache(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Commit { full: false, .. } | Command::Recalibrate { full: false, .. }
-    )
-}
-
-/// Resolves a client-supplied `snapshot`/`restore` file argument under
-/// the state dir. Absolute paths and any non-plain component (`..`,
-/// `.`) are rejected: with `--state-dir` the server's file surface is
-/// exactly that directory.
-fn confine_file(state_dir: &Path, file: &str) -> Result<String, String> {
-    let p = Path::new(file);
-    let escapes = p.is_absolute()
-        || p.components()
-            .any(|c| !matches!(c, std::path::Component::Normal(_)));
-    if escapes {
-        return Err(format!(
-            "path `{file}` escapes the state dir (absolute paths and `..`/`.` components \
-             are rejected while `--state-dir` is set)"
-        ));
-    }
-    Ok(state_dir.join(p).to_string_lossy().into_owned())
-}
-
-/// Rewrites the file argument of `snapshot`/`restore` to its confined
-/// form. `Ok(None)` = the command carries no path (execute as-is).
-fn confine_command(state_dir: &Path, cmd: &Command) -> Result<Option<Command>, String> {
-    match cmd {
-        Command::Snapshot { file } => Ok(Some(Command::Snapshot {
-            file: confine_file(state_dir, file)?,
-        })),
-        Command::Restore { file } => Ok(Some(Command::Restore {
-            file: confine_file(state_dir, file)?,
-        })),
-        _ => Ok(None),
-    }
-}
-
 /// Renames a corrupt durability file to `<name>.corrupt` so restart
 /// diagnostics keep the bytes while the session restarts clean.
 fn quarantine(path: &Path) {
@@ -768,66 +710,90 @@ fn wal_line(cmd: &Command, seq: u64) -> String {
     proto::render_request(Some(seq), 2, None, cmd, None)
 }
 
-/// One writer lane's durability state: the open WAL, the in-memory
-/// checkpoint anchor, and the tail of command lines since that anchor.
-///
-/// # Anchor discipline
-///
-/// `anchor` is always a state from which replaying `tail` through the
-/// real command handlers reproduces the live session bit-for-bit. The
-/// warm calibration cache cannot be serialized, so before logging a
-/// command that *ignores* the cache (see [`reads_warm_cache`]) the
-/// anchor is promoted to the previous command's post-state and the tail
-/// restarts — replay then regenerates the cache via the same cold fit.
-/// A client that never cold-fits keeps one anchor forever and the tail
-/// (and WAL) grow unbounded; `DESIGN.md` §16 documents the trade.
+/// A writer lane's private state: the live session, the [`Journal`]
+/// that rebuilds it, and — with `--state-dir`, until durability is
+/// lost — the journal's on-disk mirror.
+#[derive(Default)]
+pub(crate) struct Lane {
+    session: Session,
+    journal: Journal,
+    mirror: Option<Durability>,
+}
+
+impl Lane {
+    /// Panic recovery ([`Journal::recover`]). When replay stopped short,
+    /// the mirror checkpoints what is served, so disk matches memory
+    /// (`DESIGN.md` §16.3 step 4).
+    fn recover(
+        &mut self,
+        state_dir: Option<&Path>,
+        handle: &SessionHandle,
+        counters: &WalCounters,
+    ) {
+        let stopped = self.journal.recover(&mut self.session, state_dir);
+        let Some(d) = self.mirror.as_mut() else {
+            return;
+        };
+        if stopped.is_some() {
+            if let Err(why) = d.checkpoint(&self.journal, counters) {
+                self.lose_durability(handle, &why);
+                return;
+            }
+        }
+        d.publish_facts(&self.journal, handle, &self.session);
+    }
+
+    /// A WAL write failed: the session turns read-only and the mirror is
+    /// dropped (see [`Session::mark_durability_lost`]).
+    fn lose_durability(&mut self, handle: &SessionHandle, why: &str) {
+        self.session.mark_durability_lost();
+        if let Some(d) = self.mirror.take() {
+            d.publish_facts(&self.journal, handle, &self.session);
+        }
+        obs::counter_add("server.durability.lost", 1);
+        obs::events::emit(
+            obs::events::Severity::Error,
+            "server.durability.lost",
+            Some(handle.name()),
+            None,
+            &[("error", why.to_owned())],
+        );
+    }
+}
+
+/// The on-disk mirror of a lane's [`Journal`] (`--state-dir`): the
+/// newest checkpoint holds the anchor, the open WAL the records since.
 pub(crate) struct Durability {
     wal: wal::Wal,
     ckpt_path: PathBuf,
-    state_dir: PathBuf,
     checkpoint_every: u64,
-    /// Replay base: the durable state preceding `tail[0]`.
-    anchor: session::DurableState,
-    /// Mutations folded into `anchor` (monotonic across restarts).
-    anchor_seq: u64,
-    /// Logged command lines since `anchor` — what the next checkpoint
-    /// compacts the WAL down to.
-    tail: Vec<String>,
-    /// Post-state of the most recently logged mutation (the next
-    /// anchor-promotion candidate).
-    prev_state: session::DurableState,
-    /// Mutations logged over the session's lifetime.
-    seq: u64,
-    /// `seq` watermark stored in the newest on-disk checkpoint.
+    /// Journal `seq` folded into the newest on-disk checkpoint.
     last_checkpoint_seq: u64,
-    /// Mutations since the last on-disk checkpoint.
+    /// Records appended since the last on-disk checkpoint.
     since_checkpoint: u64,
 }
 
 impl Durability {
     /// Opens (or creates) one session's durable state: parse the
-    /// checkpoint, rebuild its anchor, replay the WAL tail through the
-    /// real command handlers, truncate any torn final record, and leave
-    /// the log positioned for appends. Never panics: corrupt files are
-    /// quarantined (session restarts clean but `degraded`), and I/O
-    /// failures return `None` with the session marked durability-lost.
-    fn open(
-        cfg: &DurabilityConfig,
-        handle: &SessionHandle,
-        counters: &WalCounters,
-    ) -> (Session, Option<Durability>) {
+    /// checkpoint into the journal anchor, truncate any torn final WAL
+    /// record, and replay the WAL tail through [`session::replay`] — the
+    /// routine panic recovery uses — leaving the log positioned for
+    /// appends. Never panics: corrupt files are quarantined (session
+    /// restarts clean but `degraded`), and I/O failures leave the mirror
+    /// off with the session marked durability-lost.
+    fn open(cfg: &DurabilityConfig, handle: &SessionHandle, counters: &WalCounters) -> Lane {
         let name = handle.name();
         let wal_path = cfg.state_dir.join(format!("{name}.wal"));
         let ckpt_path = cfg.state_dir.join(format!("{name}.ckpt"));
         let _ = std::fs::create_dir_all(&cfg.state_dir);
         let mut recovered = false;
         let mut fresh_degraded = false;
-        // 1. Checkpoint → anchor.
-        let (anchor, anchor_seq) = match std::fs::read_to_string(&ckpt_path) {
+        // 1. Checkpoint → journal anchor.
+        let mut journal = match std::fs::read_to_string(&ckpt_path) {
             Ok(text) => match session::parse_checkpoint(&text) {
                 Ok((anchor, seq)) => {
                     recovered = true;
-                    (anchor, seq)
+                    Journal::new(anchor, seq)
                 }
                 Err(e) => {
                     quarantine(&ckpt_path);
@@ -840,43 +806,15 @@ impl Durability {
                         None,
                         &[("error", e.to_string())],
                     );
-                    (Session::new().durable_state(), 0)
+                    Journal::default()
                 }
             },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                (Session::new().durable_state(), 0)
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Journal::default(),
             Err(e) => return Self::lost_at_open(handle, "checkpoint unreadable", &e),
         };
-        // 2. Anchor → live session.
-        let mut session = match Session::restore_durable(&anchor) {
-            Ok(s) => s,
-            Err(e) => {
-                // The anchor references state we cannot rebuild (e.g.
-                // its netlist file vanished). Quarantine and restart
-                // clean rather than log against a wrong base.
-                quarantine(&ckpt_path);
-                quarantine(&wal_path);
-                fresh_degraded = true;
-                obs::events::emit(
-                    obs::events::Severity::Error,
-                    "server.durability.checkpoint_unusable",
-                    Some(name),
-                    None,
-                    &[("error", e.to_string())],
-                );
-                Session::new()
-            }
-        };
-        let anchor = if fresh_degraded {
-            session.mark_degraded();
-            Session::new().durable_state()
-        } else {
-            anchor
-        };
-        let anchor_seq = if fresh_degraded { 0 } else { anchor_seq };
-        // 3. Open the WAL (scans, truncates a torn tail in place).
-        let (wal, scan) = match wal::Wal::open(&wal_path) {
+        let mut last_checkpoint_seq = journal.anchor_seq;
+        // 2. Open the WAL (scans, truncates a torn tail in place).
+        let (mut wal, scan) = match wal::Wal::open(&wal_path) {
             Ok(x) => x,
             Err(e) => return Self::lost_at_open(handle, "WAL unopenable", &e),
         };
@@ -890,26 +828,14 @@ impl Durability {
                 &[("reason", reason.clone())],
             );
         }
-        let mut d = Durability {
-            wal,
-            ckpt_path,
-            state_dir: cfg.state_dir.clone(),
-            checkpoint_every: cfg.checkpoint_every.max(1),
-            prev_state: anchor.clone(),
-            anchor,
-            anchor_seq,
-            tail: Vec::new(),
-            seq: anchor_seq,
-            last_checkpoint_seq: anchor_seq,
-            since_checkpoint: 0,
-        };
-        // 4. Replay the tail through the real handlers. Records carry
-        // their durable seq in the `id` field: those at or below the
-        // checkpoint's anchor are already folded in (a crash between
-        // checkpoint write and WAL compaction leaves them behind) and
-        // are skipped; the rest must be gap-free.
         recovered |= !scan.records.is_empty();
+        // 3. Records → commands. Records carry their durable seq in the
+        // `id` field: those at or below the checkpoint's anchor are
+        // already folded in (a crash between checkpoint write and WAL
+        // compaction leaves them behind) and are skipped; the rest must
+        // be gap-free.
         let mut broken: Option<String> = None;
+        let mut cmds = Vec::new();
         for line in &scan.records {
             let (cmd, rec_seq) = match proto::parse_request(line) {
                 Ok(request) => (request.cmd, request.id),
@@ -922,36 +848,71 @@ impl Durability {
                 broken = Some("record carries no sequence number".to_owned());
                 break;
             };
-            if rec_seq <= d.anchor_seq {
+            if rec_seq <= journal.anchor_seq {
                 continue;
             }
-            if rec_seq != d.seq + 1 {
+            let expected = journal.anchor_seq + cmds.len() as u64 + 1;
+            if rec_seq != expected {
                 broken = Some(format!(
-                    "sequence gap: expected record {}, found {rec_seq}",
-                    d.seq + 1
+                    "sequence gap: expected record {expected}, found {rec_seq}"
                 ));
                 break;
             }
-            let pre_armed = session.cache_armed();
-            let exec = match confine_command(&d.state_dir, &cmd) {
-                Ok(rewritten) => rewritten,
-                Err(msg) => {
-                    broken = Some(format!("unconfinable record: {msg}"));
-                    break;
-                }
-            };
-            if let Err(e) = session.handle(exec.as_ref().unwrap_or(&cmd)) {
-                broken = Some(format!("record failed to replay: {e}"));
-                break;
-            }
-            counters.replayed_records.fetch_add(1, Ordering::SeqCst);
-            d.fold(pre_armed, &cmd, line.clone(), &session);
+            cmds.push(cmd);
         }
+        // 4. Rebuild the anchor and replay the commands on it.
+        let mut session = match session::replay(&mut journal, cmds, Some(&cfg.state_dir)) {
+            Ok((session, stopped)) => {
+                broken = stopped.or(broken);
+                session
+            }
+            Err(e) => {
+                // The anchor references state we cannot rebuild (e.g.
+                // its netlist file vanished). Quarantine and restart
+                // clean rather than log against a wrong base.
+                drop(wal);
+                quarantine(&ckpt_path);
+                quarantine(&wal_path);
+                fresh_degraded = true;
+                broken = None;
+                obs::events::emit(
+                    obs::events::Severity::Error,
+                    "server.durability.checkpoint_unusable",
+                    Some(name),
+                    None,
+                    &[("error", e.to_string())],
+                );
+                journal = Journal::default();
+                last_checkpoint_seq = 0;
+                wal = match wal::Wal::open(&wal_path) {
+                    Ok((wal, _)) => wal,
+                    Err(e) => return Self::lost_at_open(handle, "WAL unopenable", &e),
+                };
+                Session::new()
+            }
+        };
+        counters
+            .replayed_records
+            .fetch_add(journal.seq() - last_checkpoint_seq, Ordering::SeqCst);
+        if fresh_degraded {
+            session.mark_degraded();
+        }
+        let mut lane = Lane {
+            session,
+            journal,
+            mirror: Some(Durability {
+                wal,
+                ckpt_path,
+                checkpoint_every: cfg.checkpoint_every.max(1),
+                last_checkpoint_seq,
+                since_checkpoint: 0,
+            }),
+        };
         if let Some(why) = broken {
             // The unreplayable suffix describes state we do not have:
             // drop it (checkpoint the replayed prefix so disk matches
             // memory) and serve what replayed, flagged degraded.
-            session.mark_degraded();
+            lane.session.mark_degraded();
             obs::events::emit(
                 obs::events::Severity::Error,
                 "server.durability.wal_replay_stopped",
@@ -959,23 +920,22 @@ impl Durability {
                 None,
                 &[("reason", why)],
             );
-            if let Err(e) = d.checkpoint(counters) {
-                session.mark_durability_lost();
-                Self::publish_loss(handle, &e);
-                d.publish_facts(handle, &session);
-                handle.install_snapshot(session.read_snapshot());
-                handle.durability.recovered.store(true, Ordering::SeqCst);
-                return (session, None);
+            if let Some(d) = lane.mirror.as_mut() {
+                if let Err(e) = d.checkpoint(&lane.journal, counters) {
+                    lane.lose_durability(handle, &e);
+                }
             }
         }
         handle
             .durability
             .recovered
             .store(recovered, Ordering::SeqCst);
-        d.publish_facts(handle, &session);
+        if let Some(d) = &lane.mirror {
+            d.publish_facts(&lane.journal, handle, &lane.session);
+        }
         // Publish the recovered state for pool reads before the first
         // ticket exists.
-        handle.install_snapshot(session.read_snapshot());
+        handle.install_snapshot(lane.session.read_snapshot());
         if recovered {
             obs::events::emit(
                 obs::events::Severity::Info,
@@ -983,114 +943,84 @@ impl Durability {
                 Some(name),
                 None,
                 &[
-                    ("wal_records", d.seq.to_string()),
+                    ("wal_records", lane.journal.seq().to_string()),
                     ("replayed", scan.records.len().to_string()),
                 ],
             );
         }
-        (session, Some(d))
+        lane
     }
 
     /// Open-time I/O failure: durability is unavailable from the first
     /// request on, so the fresh session starts read-only.
-    fn lost_at_open(
-        handle: &SessionHandle,
-        what: &str,
-        e: &std::io::Error,
-    ) -> (Session, Option<Durability>) {
-        let mut session = Session::new();
-        session.mark_durability_lost();
-        Self::publish_loss(handle, &format!("{what}: {e}"));
+    fn lost_at_open(handle: &SessionHandle, what: &str, e: &std::io::Error) -> Lane {
+        let mut lane = Lane::default();
+        lane.lose_durability(handle, &format!("{what}: {e}"));
         handle
             .durability
             .degraded
-            .store(session.is_degraded(), Ordering::SeqCst);
-        (session, None)
+            .store(lane.session.is_degraded(), Ordering::SeqCst);
+        lane
     }
 
-    /// Emits the durability-loss event and counter.
-    fn publish_loss(handle: &SessionHandle, why: &str) {
-        obs::counter_add("server.durability.lost", 1);
-        obs::events::emit(
-            obs::events::Severity::Error,
-            "server.durability.lost",
-            Some(handle.name()),
-            None,
-            &[("error", why.to_owned())],
-        );
-    }
-
-    /// Folds one logged mutation into the anchor/tail bookkeeping.
-    /// `pre_armed` is [`Session::cache_armed`] captured *before* the
-    /// command executed; `session` is the post-command state.
-    fn fold(&mut self, pre_armed: bool, cmd: &Command, line: String, session: &Session) {
-        if !(pre_armed && reads_warm_cache(cmd)) {
-            self.anchor = self.prev_state.clone();
-            self.anchor_seq = self.seq;
-            self.tail.clear();
-        }
-        self.tail.push(line);
-        self.seq += 1;
-        self.prev_state = session.durable_state();
-    }
-
-    /// Logs one acknowledged mutation: append + fsync the WAL record,
-    /// fold the anchor bookkeeping, and checkpoint/compact when due.
-    /// Any failure (including the `wal.append`/`wal.fsync`/
-    /// `wal.checkpoint` failpoints) is a durability loss — the caller
-    /// marks the session read-only.
+    /// Mirrors `cmd`, the journal's newest command: append + fsync its
+    /// WAL record, and checkpoint/compact when due. Any failure
+    /// (including the `wal.append`/`wal.fsync`/`wal.checkpoint`
+    /// failpoints) is a durability loss — the caller marks the session
+    /// read-only.
     fn record(
         &mut self,
-        pre_armed: bool,
         cmd: &Command,
-        session: &Session,
+        journal: &Journal,
         counters: &WalCounters,
     ) -> Result<(), String> {
-        let line = wal_line(cmd, self.seq + 1);
         let framed = self
             .wal
-            .append(&line)
+            .append(&wal_line(cmd, journal.seq()))
             .map_err(|e| format!("WAL append failed: {e}"))?;
         counters.appended_bytes.fetch_add(framed, Ordering::SeqCst);
         counters.fsyncs.fetch_add(1, Ordering::SeqCst);
-        self.fold(pre_armed, cmd, line, session);
         self.since_checkpoint += 1;
         if self.since_checkpoint >= self.checkpoint_every {
-            self.checkpoint(counters)?;
+            self.checkpoint(journal, counters)?;
         }
         Ok(())
     }
 
-    /// Writes the current anchor as the on-disk checkpoint (atomic
-    /// rename discipline), then compacts the WAL down to the tail.
-    /// Crash-ordering: the checkpoint lands fully before the WAL
+    /// Writes the journal's anchor as the on-disk checkpoint (atomic
+    /// rename discipline), then compacts the WAL down to the journal's
+    /// tail. Crash-ordering: the checkpoint lands fully before the WAL
     /// shrinks, so every instant holds a complete (checkpoint, WAL)
     /// pair. A crash between the two steps leaves already-folded
     /// records in the WAL; recovery skips them by their embedded
     /// sequence numbers (see [`wal_line`]). The compacted log itself
     /// swaps in with one atomic rename inside [`wal::Wal::rewrite`].
-    fn checkpoint(&mut self, counters: &WalCounters) -> Result<(), String> {
+    fn checkpoint(&mut self, journal: &Journal, counters: &WalCounters) -> Result<(), String> {
         if let Some(fault) = faultinject::fire("wal.checkpoint") {
             return Err(format!("failpoint `wal.checkpoint`: injected {fault:?}"));
         }
-        let text = session::render_checkpoint(&self.anchor, self.anchor_seq);
+        let text = session::render_checkpoint(&journal.anchor, journal.anchor_seq);
         mgba::atomic_write_text(&self.ckpt_path, &text)
             .map_err(|e| format!("checkpoint write failed: {e}"))?;
+        let tail: Vec<String> = (journal.anchor_seq + 1..)
+            .zip(&journal.tail)
+            .map(|(seq, cmd)| wal_line(cmd, seq))
+            .collect();
         self.wal
-            .rewrite(&self.tail)
+            .rewrite(&tail)
             .map_err(|e| format!("WAL compaction failed: {e}"))?;
         counters.fsyncs.fetch_add(1, Ordering::SeqCst);
         counters.checkpoints.fetch_add(1, Ordering::SeqCst);
-        self.last_checkpoint_seq = self.anchor_seq;
+        self.last_checkpoint_seq = journal.anchor_seq;
         self.since_checkpoint = 0;
         Ok(())
     }
 
     /// Stores the current durability facts onto the handle for the
     /// `health` command.
-    fn publish_facts(&self, handle: &SessionHandle, session: &Session) {
+    fn publish_facts(&self, journal: &Journal, handle: &SessionHandle, session: &Session) {
         let f = &handle.durability;
-        f.wal_records.store(self.seq, Ordering::SeqCst);
+        f.wal_records.store(journal.seq(), Ordering::SeqCst);
         f.last_checkpoint_seq
             .store(self.last_checkpoint_seq, Ordering::SeqCst);
         f.degraded.store(session.is_degraded(), Ordering::SeqCst);
@@ -1131,41 +1061,36 @@ pub(crate) fn render_health(handle: &SessionHandle) -> String {
     w.finish()
 }
 
-/// The `health` read handler (shared by the lane funnel and the read
-/// pool, including the same chaos hook, so bytes match across modes).
-fn read_health(handle: &SessionHandle) -> Result<String, MgbaError> {
-    if let Some(fault) = faultinject::fire("server.handle") {
-        return Err(MgbaError::Internal(format!(
+/// The `server.handle` chaos hook, fired once per live request on
+/// either execution path (writer lane or read pool): `panic` unwinds
+/// exactly like a handler bug would, `error`/`nan` surface as a typed
+/// internal error. Journal replay never fires it. The `failpoint`
+/// command that arms it is itself unaffected — arming happens in its
+/// handler, after this check.
+fn chaos_hook() -> Result<(), MgbaError> {
+    match faultinject::fire("server.handle") {
+        Some(fault) => Err(MgbaError::Internal(format!(
             "failpoint `server.handle`: injected {fault:?}"
-        )));
+        ))),
+        None => Ok(()),
     }
-    Ok(render_health(handle))
 }
 
-/// The writer-lane loop: owns the session state, executes jobs in
-/// ticket order, publishes snapshots, drains on shutdown. `state` is
-/// the session (plus its durability lane, with `--state-dir`) that
-/// [`Registry::session`] built — recovered from disk when durable
-/// files existed.
+/// The writer-lane loop: owns the lane state, executes jobs in ticket
+/// order, publishes snapshots, drains on shutdown. `lane` is what
+/// [`Registry::session`] built — recovered from disk when durable files
+/// existed.
 pub(crate) fn lane_loop(
     rx: Receiver<LaneJob>,
     handle: Arc<SessionHandle>,
     registry: Arc<Registry>,
-    state: (Session, Option<Durability>),
+    mut lane: Lane,
 ) {
     let shared = Arc::clone(&registry.shared);
-    let (mut session, mut durability) = state;
     loop {
         match rx.recv_timeout(LANE_POLL) {
             Ok(job) => {
-                if process_lane(
-                    job,
-                    &mut session,
-                    &mut durability,
-                    &handle,
-                    &registry,
-                    &shared,
-                ) {
+                if process_lane(job, &mut lane, &handle, &registry, &shared) {
                     shared.shutting_down.store(true, Ordering::SeqCst);
                     break;
                 }
@@ -1183,22 +1108,14 @@ pub(crate) fn lane_loop(
     // the shutdown flag. Every admitted ticket MUST still publish, or
     // readers waiting on it would hang until their deadline.
     while let Ok(job) = rx.recv_timeout(DRAIN_GRACE) {
-        process_lane(
-            job,
-            &mut session,
-            &mut durability,
-            &handle,
-            &registry,
-            &shared,
-        );
+        process_lane(job, &mut lane, &handle, &registry, &shared);
     }
 }
 
 /// Executes one lane job; returns `true` on a served `shutdown`.
 fn process_lane(
     job: LaneJob,
-    session: &mut Session,
-    durability: &mut Option<Durability>,
+    lane: &mut Lane,
     handle: &SessionHandle,
     registry: &Registry,
     shared: &Shared,
@@ -1230,7 +1147,7 @@ fn process_lane(
     // Durability gate 1: a session whose WAL failed is read-only — the
     // in-memory state is ahead of the durable log, so acknowledging
     // more mutations would widen the gap a restart cannot close.
-    if session.durability_lost() && is_state_changing(&cmd) {
+    if lane.session.durability_lost() && cmd.is_state_changing() {
         obs::counter_add("server.rejected.durability_lost", 1);
         shared.served.fetch_add(1, Ordering::SeqCst);
         let _ = reply.send(proto::error_envelope(
@@ -1243,24 +1160,20 @@ fn process_lane(
         return false;
     }
     // Durability gate 2: with `--state-dir`, client-supplied
-    // `snapshot`/`restore` paths are confined to the state dir. The
-    // WAL logs the *original* relative path; replay re-confines it.
-    let confined = match durability.as_ref() {
-        Some(d) => match confine_command(&d.state_dir, &cmd) {
-            Ok(rewritten) => rewritten,
-            Err(msg) => {
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                obs::counter_add("server.rejected.path_escape", 1);
-                let _ = reply.send(proto::error_envelope(&meta, "path_escape", &msg));
-                handle.publish(ticket);
-                return false;
-            }
-        },
-        None => None,
+    // `snapshot`/`restore` paths are confined to the state dir — also
+    // after durability was lost. The journal and the WAL keep the
+    // *original* path; replay re-confines it.
+    let state_dir = registry.durability.as_ref().map(|c| c.state_dir.as_path());
+    let confined = match session::confine_command(state_dir, &cmd) {
+        Ok(rewritten) => rewritten,
+        Err(msg) => {
+            shared.served.fetch_add(1, Ordering::SeqCst);
+            obs::counter_add("server.rejected.path_escape", 1);
+            let _ = reply.send(proto::error_envelope(&meta, "path_escape", &msg));
+            handle.publish(ticket);
+            return false;
+        }
     };
-    // Captured before execution: whether this command would *read* the
-    // frozen warm cache (decides the checkpoint-anchor fold below).
-    let pre_armed = session.cache_armed();
     let name = cmd.name();
     // Stage 1: how long the job sat in the lane queue before dequeue.
     let queue_wait = enqueued.elapsed();
@@ -1271,33 +1184,27 @@ fn process_lane(
     let start = Instant::now();
     // Crash isolation: a panic in one request must not take the daemon
     // (and every other session) down. The lane catches the unwind,
-    // restores its session from the last good checkpoint, and answers
-    // with a typed "internal" error. AssertUnwindSafe is justified
-    // because the possibly half-mutated session state is discarded
-    // wholesale by `recover()` — nothing broken is ever observed.
+    // rebuilds its session from the journal, and answers with a typed
+    // "internal" error. AssertUnwindSafe is justified because the
+    // possibly half-mutated session state is discarded wholesale by
+    // `Lane::recover` — nothing broken is ever observed.
     let caught = {
         let _span = obs::span(name);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            chaos_hook()?;
             match &cmd {
                 // Registry-wide views are rendered here, where every
-                // session's handle is reachable; the chaos hook still
-                // fires for them exactly as `Session::handle` would.
-                Command::Stats | Command::Metrics => {
-                    if let Some(fault) = faultinject::fire("server.handle") {
-                        return Err(MgbaError::Internal(format!(
-                            "failpoint `server.handle`: injected {fault:?}"
-                        )));
-                    }
-                    Ok(match &cmd {
-                        Command::Stats => render_stats(session, handle, registry, shared),
-                        _ => render_metrics(session, handle, registry, shared),
-                    })
-                }
+                // session's handle is reachable.
+                Command::Stats => Ok(render_stats(&lane.session, handle, registry, shared)),
+                Command::Metrics => Ok(render_metrics(&lane.session, handle, registry, shared)),
                 // `health` serves the handle's durability facts —
                 // reachable here (funnel mode) and on the read pool,
                 // with identical bytes by construction.
-                Command::Health => read_health(handle),
-                _ => session.handle(confined.as_ref().unwrap_or(&cmd)),
+                Command::Health => Ok(render_health(handle)),
+                _ => {
+                    lane.journal
+                        .execute(&mut lane.session, &cmd, confined.as_ref().unwrap_or(&cmd))
+                }
             }
         }))
     };
@@ -1307,7 +1214,7 @@ fn process_lane(
             shared.panicked.fetch_add(1, Ordering::SeqCst);
             obs::counter_add("server.requests.panicked", 1);
             let msg = panic_message(payload.as_ref());
-            session.recover();
+            lane.recover(state_dir, handle, &registry.wal_counters);
             handle.rebuilds.fetch_add(1, Ordering::SeqCst);
             obs::events::emit(
                 obs::events::Severity::Error,
@@ -1343,7 +1250,7 @@ fn process_lane(
     let is_query = !cmd.is_read() && !matches!(cmd, Command::Shutdown);
     if let Some(limit) = registry.slow_ms.filter(|_| !panicked && is_query) {
         if exec >= Duration::from_millis(limit) {
-            session.note_slow(meta.request_id, name);
+            lane.session.note_slow(meta.request_id, name);
             recorded_slow = true;
             obs::events::emit(
                 obs::events::Severity::Warn,
@@ -1369,18 +1276,16 @@ fn process_lane(
     // Durability: append + fsync the WAL record BEFORE the mutation is
     // acknowledged. A failed write (real or failpoint-injected) flips
     // the session read-only: the reply becomes a `durability_lost`
-    // error, but the in-memory state — which already mutated — stays
-    // published for reads, honestly flagged degraded.
+    // error, but the in-memory state — which already mutated, and which
+    // the journal holds — stays published for reads, honestly flagged
+    // degraded.
     let mut durability_error: Option<String> = None;
-    if result.is_ok() && !panicked && is_state_changing(&cmd) {
-        if let Some(d) = durability.as_mut() {
-            match d.record(pre_armed, &cmd, session, &registry.wal_counters) {
-                Ok(()) => d.publish_facts(handle, session),
+    if result.is_ok() && cmd.is_state_changing() {
+        if let Some(d) = lane.mirror.as_mut() {
+            match d.record(&cmd, &lane.journal, &registry.wal_counters) {
+                Ok(()) => d.publish_facts(&lane.journal, handle, &lane.session),
                 Err(why) => {
-                    session.mark_durability_lost();
-                    d.publish_facts(handle, session);
-                    Durability::publish_loss(handle, &why);
-                    *durability = None;
+                    lane.lose_durability(handle, &why);
                     durability_error = Some(format!("{why}; session is read-only until restart"));
                 }
             }
@@ -1391,7 +1296,7 @@ fn process_lane(
         proto::error_envelope(&meta, "durability_lost", msg)
     } else {
         match &result {
-            Ok(json) => proto::ok_envelope(&meta, session.is_degraded(), json),
+            Ok(json) => proto::ok_envelope(&meta, lane.session.is_degraded(), json),
             Err(e) => proto::mgba_error_envelope(&meta, e),
         }
     };
@@ -1401,14 +1306,14 @@ fn process_lane(
     // append that split-mode `slowlog` reads must observe) refreshes
     // the read snapshot first, then the ticket watermark releases any
     // readers admitted behind this write.
-    if (result.is_ok() && is_state_changing(&cmd)) || panicked || recorded_slow {
-        handle.install_snapshot(session.read_snapshot());
+    if (result.is_ok() && cmd.is_state_changing()) || panicked || recorded_slow {
+        handle.install_snapshot(lane.session.read_snapshot());
     }
     // Keep the lock-free `health` facts in step with this ticket.
     handle
         .durability
         .degraded
-        .store(session.is_degraded(), Ordering::SeqCst);
+        .store(lane.session.is_degraded(), Ordering::SeqCst);
     handle.publish(ticket);
     shutdown
 }
@@ -1417,12 +1322,6 @@ fn process_lane(
 /// the session handlers with the lane path, so responses are
 /// byte-identical across funnel and split modes.
 fn execute_read(snapshot: Option<&ReadSnapshot>, cmd: &Command) -> Result<String, MgbaError> {
-    // Same chaos hook as the lane path: reads are fault-injectable too.
-    if let Some(fault) = faultinject::fire("server.handle") {
-        return Err(MgbaError::Internal(format!(
-            "failpoint `server.handle`: injected {fault:?}"
-        )));
-    }
     if matches!(cmd, Command::Ping) {
         return Ok(session::ping_result());
     }
@@ -1497,11 +1396,15 @@ pub(crate) fn serve_read(job: ReadJob, shared: &Shared) {
     // nothing — no recovery needed, just a typed error.
     let caught = {
         let _span = obs::span(name);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &cmd {
-            // `health` reads the handle's durability facts, not the
-            // snapshot — it answers before any design is loaded.
-            Command::Health => read_health(&handle),
-            _ => execute_read(snap.as_deref(), &cmd),
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Same chaos hook as the lane path: reads are fault-injectable too.
+            chaos_hook()?;
+            match &cmd {
+                // `health` reads the handle's durability facts, not the
+                // snapshot — it answers before any design is loaded.
+                Command::Health => Ok(render_health(&handle)),
+                _ => execute_read(snap.as_deref(), &cmd),
+            }
         }))
     };
     let result = match caught {

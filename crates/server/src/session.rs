@@ -22,7 +22,10 @@
 use crate::proto::Command;
 use crate::registry::ReadSnapshot;
 use crate::suggest;
-use mgba::{recalibrate_warm, run_mgba_cached, CalibrationCache, MgbaConfig, MgbaError, Solver};
+use mgba::{
+    recalibrate_warm, run_mgba_cached, CalibrationCache, FallbackStage, MgbaConfig, MgbaError,
+    Solver,
+};
 use netlist::{CellId, LibCellId};
 use obs::json::JsonWriter;
 use sta::{
@@ -52,8 +55,8 @@ pub struct ServerInfo {
 
 /// A design loaded into the session.
 struct Loaded {
-    /// The spec string `load`/`restore` used (generator spec or file
-    /// path) — recorded into snapshots for warm restart.
+    /// The spec string `load` used (generator spec or file path) —
+    /// recorded into checkpoints and snapshots.
     spec: String,
     /// Clock period, ps.
     period: f64,
@@ -66,15 +69,15 @@ struct Loaded {
     solver: Option<Solver>,
     /// Warm-refit state of the most recent calibration: the frozen path
     /// set, the fit problem (patched in place per commit), and `x*`.
-    /// `None` until calibrated, and dropped by crash recovery — the next
-    /// recalibration then falls back to a cold fit.
+    /// `None` until calibrated. It is never serialized: a rebuilt
+    /// [`DesignState`] has none, and journal replay regenerates it.
     cache: Option<CalibrationCache>,
     /// Union of cells invalidated by committed resizes since the last
     /// recalibration ([`Sta::last_touched`] captured right after each
     /// commit, before weight installs clear it), canonically sorted.
     dirty: Vec<CellId>,
     /// Committed resizes since load, in order, as (cell name, resolved
-    /// library-cell name) — replayed verbatim by crash recovery.
+    /// library-cell name) — replayed verbatim by [`Session::rebuild`].
     resizes: Vec<(String, String)>,
 }
 
@@ -157,11 +160,10 @@ pub(crate) struct CalibrationRecord {
     pub commits_since_fit: u64,
 }
 
-/// Everything needed to rebuild [`Loaded`] from scratch after a caught
-/// panic: the engine itself may be mid-mutation when a handler unwinds,
-/// so recovery never reuses it — it replays this record instead.
-#[derive(Clone)]
-struct MemSnapshot {
+/// The design half of a [`DurableState`]: everything needed to rebuild
+/// [`Loaded`] from scratch (reload the design, replay committed
+/// resizes, reapply fitted weights).
+struct DesignState {
     spec: String,
     period: f64,
     calibrated: Option<String>,
@@ -170,16 +172,14 @@ struct MemSnapshot {
     weights: Vec<(String, f64)>,
 }
 
-/// One session's writer-lane state: at most one loaded design plus the
-/// crash-recovery checkpoint. Latency accounting lives on the session's
+/// One session's writer-lane state: at most one loaded design. The
+/// lane's [`Journal`] can rebuild it after a caught panic. Latency
+/// accounting lives on the session's
 /// [`crate::registry::SessionHandle`] so read workers can record into it
 /// without touching the lane.
 #[derive(Default)]
 pub struct Session {
     loaded: Option<Loaded>,
-    /// In-memory checkpoint taken after every successful state-changing
-    /// command; [`Session::recover`] restores from it.
-    last_good: Option<MemSnapshot>,
     /// True while serving from a fault-recovered state whose calibration
     /// is unavailable (answers are raw GBA: safe but pessimistic).
     degraded: bool,
@@ -566,11 +566,11 @@ impl Session {
     }
 
     /// True when the next warm-path recalibration would read the frozen
-    /// calibration cache. The durability layer keys its checkpoint
-    /// anchor off this: a command that *ignores* the cache (cold fit,
-    /// load, restore) starts a fresh WAL tail, because replaying it from
-    /// a cache-less rebuilt anchor regenerates the cache bit-for-bit.
-    pub(crate) fn cache_armed(&self) -> bool {
+    /// calibration cache. The [`Journal`] keys its anchor off this: a
+    /// command that *ignores* the cache (cold fit, load, restore) starts
+    /// a fresh tail, because replaying it from a cache-less rebuilt
+    /// anchor regenerates the cache bit-for-bit.
+    fn cache_armed(&self) -> bool {
         self.loaded
             .as_ref()
             .is_some_and(|l| l.calibrated.is_some() && l.cache.is_some())
@@ -689,37 +689,6 @@ impl Session {
     /// Returns the command's [`MgbaError`]; the caller wraps it into a
     /// structured error response. The session survives every error.
     pub fn handle(&mut self, cmd: &Command) -> Result<String, MgbaError> {
-        // Chaos hook for the crash-isolation layer: `panic` here unwinds
-        // exactly like a handler bug would (the worker catches it and
-        // restores the last good state); `error`/`nan` surface as a
-        // typed internal error. The `failpoint` command that arms this
-        // is itself unaffected — arming happens in its handler, after
-        // this check.
-        if let Some(fault) = faultinject::fire("server.handle") {
-            return Err(MgbaError::Internal(format!(
-                "failpoint `server.handle`: injected {fault:?}"
-            )));
-        }
-        let result = self.dispatch(cmd);
-        if result.is_ok()
-            && matches!(
-                cmd,
-                Command::Load { .. }
-                    | Command::Calibrate { .. }
-                    | Command::Commit { .. }
-                    | Command::Recalibrate { .. }
-                    | Command::Restore { .. }
-            )
-        {
-            // Checkpoint only at successful state-changing command
-            // boundaries: a later panic rolls back to exactly the state
-            // the client last saw acknowledged.
-            self.checkpoint();
-        }
-        result
-    }
-
-    fn dispatch(&mut self, cmd: &Command) -> Result<String, MgbaError> {
         match cmd {
             Command::Ping => Ok(ping_result()),
             Command::Load { spec, period } => self.load(spec, *period),
@@ -1286,102 +1255,34 @@ impl Session {
         Ok(w.finish())
     }
 
+    /// `snapshot`: writes the session's durable state as checkpoint
+    /// text ([`render_checkpoint`]), atomically.
     fn snapshot(&mut self, file: &str) -> Result<String, MgbaError> {
-        let loaded = self.require_loaded()?;
-        let sta = &loaded.sta;
-        let n = sta.netlist().num_cells();
-        let weights: Vec<f64> = (0..n).map(|i| sta.gate_weight(CellId::new(i))).collect();
-        let mut out = String::new();
-        let _ = writeln!(out, "# mgba snapshot v1 design={}", sta.netlist().name());
-        let _ = writeln!(out, "spec {}", loaded.spec);
-        let _ = writeln!(out, "period {:?}", loaded.period);
-        let _ = writeln!(
-            out,
-            "calibrated {}",
-            loaded.calibrated.as_deref().unwrap_or("-")
-        );
-        let _ = writeln!(out, "weights");
-        out.push_str(&mgba::write_weights(sta.netlist(), &weights));
-        std::fs::write(file, &out).map_err(|e| MgbaError::io(file, e))?;
-        let nonzero = weights.iter().filter(|w| **w != 0.0).count();
+        let design = self.require_loaded()?.sta.netlist().name().to_owned();
+        let state = self.durable_state();
+        mgba::atomic_write_text(file, &render_checkpoint(&state, 0))?;
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.key("file");
         w.str(file);
         w.key("design");
-        w.str(sta.netlist().name());
+        w.str(&design);
         w.key("weights_written");
-        w.u64(nonzero as u64);
+        w.u64(state.design.map_or(0, |d| d.weights.len()) as u64);
         w.end_obj();
         Ok(w.finish())
     }
 
+    /// `restore`: rebuilds the design a `snapshot` file holds. Only the
+    /// design is replaced; the history ring and counters stay the
+    /// session's own.
     fn restore(&mut self, file: &str) -> Result<String, MgbaError> {
         let text = std::fs::read_to_string(file).map_err(|e| MgbaError::io(file, e))?;
-        let malformed = |line: usize, reason: String| {
-            MgbaError::from(mgba::WeightsError::Malformed { line, reason })
-        };
-        if !text.starts_with("# mgba snapshot v1") {
-            return Err(malformed(
-                1,
-                "not a snapshot (missing `# mgba snapshot v1` header)".into(),
-            ));
-        }
-        let mut spec: Option<&str> = None;
-        let mut period: Option<f64> = None;
-        let mut calibrated: Option<String> = None;
-        let mut weights_text = String::new();
-        let mut in_weights = false;
-        for (i, line) in text.lines().enumerate().skip(1) {
-            if in_weights {
-                weights_text.push_str(line);
-                weights_text.push('\n');
-                continue;
-            }
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') {
-                continue;
-            }
-            if t == "weights" {
-                in_weights = true;
-                continue;
-            }
-            let (key, value) = t
-                .split_once(' ')
-                .ok_or_else(|| malformed(i + 1, format!("expected `key value`, got `{t}`")))?;
-            match key {
-                "spec" => spec = Some(value),
-                "period" => {
-                    period = Some(
-                        value
-                            .parse()
-                            .map_err(|_| malformed(i + 1, format!("bad period `{value}`")))?,
-                    )
-                }
-                "calibrated" => calibrated = (value != "-").then(|| value.to_owned()),
-                other => return Err(malformed(i + 1, format!("unknown key `{other}`"))),
-            }
-        }
-        let spec = spec.ok_or_else(|| malformed(1, "snapshot missing `spec`".into()))?;
-        let period = period.ok_or_else(|| malformed(1, "snapshot missing `period`".into()))?;
-        let netlist = mgba::load_design_or_file(spec)?;
-        let mut sta = mgba::build_engine(netlist, period)?;
-        let pairs = mgba::parse_weights(&weights_text)?;
-        let dense = mgba::apply_weights(sta.netlist(), &pairs)?;
-        sta.set_weights(&dense);
-        let applied = pairs.len();
-        // A restored session carries weights but no calibration cache:
-        // the first post-restore recalibration runs cold.
-        let loaded = Loaded {
-            spec: spec.to_owned(),
-            period,
-            sta,
-            calibrated,
-            solver: None,
-            cache: None,
-            dirty: Vec::new(),
-            resizes: Vec::new(),
-        };
+        let (state, _) = parse_checkpoint(&text)?;
+        let design = state
+            .design
+            .ok_or_else(|| bad(format!("`{file}` holds no loaded design")))?;
+        let loaded = Self::rebuild(&design)?;
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.key("design");
@@ -1389,7 +1290,7 @@ impl Session {
         w.key("period");
         w.f64(loaded.period);
         w.key("weights_applied");
-        w.u64(applied as u64);
+        w.u64(design.weights.len() as u64);
         w.key("calibrated");
         match &loaded.calibrated {
             Some(s) => w.str(s),
@@ -1407,9 +1308,9 @@ impl Session {
         Ok(w.finish())
     }
 
-    /// Captures the rebuild record for a loaded design: spec, period,
+    /// Captures the design half of the durable state: spec, period,
     /// committed resizes, and the nonzero fitted weights by cell name.
-    fn mem_snapshot(l: &Loaded) -> MemSnapshot {
+    fn design_state(l: &Loaded) -> DesignState {
         let weights = (0..l.sta.netlist().num_cells())
             .map(CellId::new)
             .filter_map(|id| {
@@ -1417,7 +1318,7 @@ impl Session {
                 (w != 0.0).then(|| (l.sta.netlist().cell(id).name.clone(), w))
             })
             .collect();
-        MemSnapshot {
+        DesignState {
             spec: l.spec.clone(),
             period: l.period,
             calibrated: l.calibrated.clone(),
@@ -1426,84 +1327,47 @@ impl Session {
         }
     }
 
-    /// Records the current state as the crash-recovery baseline.
-    fn checkpoint(&mut self) {
-        self.last_good = self.loaded.as_ref().map(Self::mem_snapshot);
-    }
-
-    /// Rebuilds a [`Loaded`] from a checkpoint: reload the design,
-    /// replay committed resizes, reapply fitted weights.
-    fn rebuild(snap: &MemSnapshot) -> Result<Loaded, MgbaError> {
-        let netlist = mgba::load_design_or_file(&snap.spec)?;
-        let mut sta = mgba::build_engine(netlist, snap.period)?;
-        for (cell, to) in &snap.resizes {
-            let id = sta.netlist().find_cell(cell).ok_or_else(|| {
-                MgbaError::Internal(format!("checkpoint resize names unknown cell `{cell}`"))
-            })?;
-            let target = sta.netlist().library().find(to).ok_or_else(|| {
-                MgbaError::Internal(format!(
-                    "checkpoint resize names unknown library cell `{to}`"
-                ))
-            })?;
+    /// Rebuilds a [`Loaded`], bit-exact but without calibration cache:
+    /// reload the design, replay committed resizes, reapply fitted
+    /// weights, and take the solver back from its paper name (later cold
+    /// refits inherit it). A name the design lacks is a `parse` error.
+    fn rebuild(d: &DesignState) -> Result<Loaded, MgbaError> {
+        let netlist = mgba::load_design_or_file(&d.spec)?;
+        let mut sta = mgba::build_engine(netlist, d.period)?;
+        let unknown = |name: &str| MgbaError::from(mgba::WeightsError::UnknownCell(name.into()));
+        for (cell, to) in &d.resizes {
+            let id = sta.netlist().find_cell(cell).ok_or_else(|| unknown(cell))?;
+            let target = sta
+                .netlist()
+                .library()
+                .find(to)
+                .ok_or_else(|| unknown(to))?;
             sta.resize_cell(id, target)?;
         }
-        if !snap.weights.is_empty() {
-            let dense = mgba::apply_weights(sta.netlist(), &snap.weights)?;
+        if !d.weights.is_empty() {
+            let dense = mgba::apply_weights(sta.netlist(), &d.weights)?;
             sta.set_weights(&dense);
         }
-        // The calibration cache is deliberately NOT checkpointed (it is
-        // large and derivable): a recovered session serves the replayed
-        // weights, and its next recalibration falls back to cold.
         Ok(Loaded {
-            spec: snap.spec.clone(),
-            period: snap.period,
+            spec: d.spec.clone(),
+            period: d.period,
             sta,
-            calibrated: snap.calibrated.clone(),
-            solver: None,
+            calibrated: d.calibrated.clone(),
+            solver: [Solver::Gd, Solver::Scg, Solver::ScgRs, Solver::Cgnr]
+                .into_iter()
+                .find(|s| d.calibrated.as_deref() == Some(s.paper_name())),
             cache: None,
             dirty: Vec::new(),
-            resizes: snap.resizes.clone(),
+            resizes: d.resizes.clone(),
         })
     }
 
-    /// Restores the session after a caught handler panic. The possibly
-    /// half-mutated engine is discarded unconditionally; state comes
-    /// back from the last good checkpoint. The session is left degraded
-    /// when the restored state has no calibration (raw-GBA answers) or
-    /// when the rebuild itself fails (no design loaded at all).
-    pub fn recover(&mut self) {
-        self.loaded = None;
-        let Some(snap) = self.last_good.clone() else {
-            // Nothing was ever acknowledged as loaded: the empty state
-            // IS the last good state, and it is fully restored.
-            self.degraded = false;
-            return;
-        };
-        match Self::rebuild(&snap) {
-            Ok(loaded) => {
-                self.degraded = loaded.calibrated.is_none();
-                self.loaded = Some(loaded);
-                obs::counter_add("server.session.restored", 1);
-            }
-            Err(e) => {
-                // Catastrophic: even the checkpoint will not rebuild
-                // (e.g. the netlist file vanished). Serve as an empty,
-                // explicitly degraded session rather than crash.
-                self.degraded = true;
-                obs::counter_add("server.session.restore_failed", 1);
-                eprintln!("mgba-server: session restore failed: {e}");
-            }
-        }
-    }
-
-    /// Captures everything the durability layer writes into an on-disk
-    /// checkpoint: the rebuild record plus the session-level counters
-    /// and the drift-history ring. The slow-query ring is deliberately
-    /// excluded — it is operational telemetry keyed to one process
-    /// lifetime, and documented to reset on restart (`DESIGN.md` §16).
-    pub(crate) fn durable_state(&self) -> DurableState {
+    /// Captures the design plus the session-level counters and the
+    /// drift-history ring. The slow-query ring is process telemetry and
+    /// deliberately excluded (`DESIGN.md` §16.6).
+    fn durable_state(&self) -> DurableState {
         DurableState {
-            snap: self.loaded.as_ref().map(Self::mem_snapshot),
+            design: self.loaded.as_ref().map(Self::design_state),
             degraded: self.degraded,
             recalib_warm: self.recalib_warm,
             recalib_cold: self.recalib_cold,
@@ -1513,65 +1377,231 @@ impl Session {
             history_evicted: self.history_evicted,
         }
     }
-
-    /// Builds a session from a recovered checkpoint anchor: reload +
-    /// replay resizes + reapply weights (bit-exact, like panic
-    /// recovery), then restore the counters and history ring the
-    /// anchor carried. The WAL tail is replayed on top via
-    /// [`Session::handle`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates rebuild failures (vanished netlist file, resize
-    /// naming an unknown cell) — the caller decides whether to serve
-    /// the session empty or refuse startup.
-    pub(crate) fn restore_durable(d: &DurableState) -> Result<Session, MgbaError> {
-        let loaded = match &d.snap {
-            Some(snap) => Some(Self::rebuild(snap)?),
-            None => None,
-        };
-        let mut s = Session {
-            loaded,
-            last_good: d.snap.clone(),
-            degraded: d.degraded,
-            durability_lost: false,
-            recalib_warm: d.recalib_warm,
-            recalib_cold: d.recalib_cold,
-            history: d.history.iter().cloned().collect(),
-            history_evicted: d.history_evicted,
-            fits_total: d.fits_total,
-            commits_since_fit: d.commits_since_fit,
-            slowlog: std::collections::VecDeque::new(),
-            slow_dropped: 0,
-        };
-        // The rebuilt state is also the panic-recovery baseline.
-        s.checkpoint();
-        Ok(s)
-    }
 }
 
-/// Checkpoint-anchor contents: a point-in-time capture of one session
-/// that [`Session::restore_durable`] turns back into a live session.
-/// See `DESIGN.md` §16 for where anchors sit relative to the WAL tail.
-#[derive(Clone)]
+/// A session's durable state: what a journal anchor, an on-disk
+/// checkpoint and a `snapshot` file hold. See `DESIGN.md` §16 for where
+/// anchors sit relative to the journal tail.
+#[derive(Default)]
 pub(crate) struct DurableState {
-    /// Rebuild record (`None` = no design was loaded at the anchor).
-    snap: Option<MemSnapshot>,
+    /// `None` = no design loaded.
+    design: Option<DesignState>,
     degraded: bool,
     recalib_warm: u64,
     recalib_cold: u64,
     fits_total: u64,
     commits_since_fit: u64,
-    /// Drift-history ring at the anchor, oldest first.
+    /// Drift-history ring, oldest first.
     history: Vec<CalibrationRecord>,
     history_evicted: u64,
 }
 
-/// Renders a checkpoint anchor as the on-disk `.ckpt` text format:
+/// True for state-changing commands that *read* the warm calibration
+/// cache, which anchors cannot capture: replaying them from a rebuilt,
+/// cache-less anchor would not reproduce their bytes.
+fn reads_warm_cache(cmd: &Command) -> bool {
+    matches!(
+        cmd,
+        Command::Commit { full: false, .. } | Command::Recalibrate { full: false, .. }
+    )
+}
+
+/// One session's journal, kept by its writer lane with or without
+/// `--state-dir` (which mirrors it to disk): a [`DurableState`] anchor
+/// plus the state-changing commands acknowledged since it, as the client
+/// sent them. Rebuilding the anchor and replaying the tail ([`replay`])
+/// reproduces the live session bit-for-bit, because the anchor never
+/// sits inside a warm chain: a command that does not read an armed cache
+/// ([`reads_warm_cache`]) promotes its own pre-state to the anchor and
+/// restarts the tail. `load` and `restore` replace the design and leave
+/// no cache, so their post-state is the anchor, with an empty tail:
+/// replay never re-reads their file (`DESIGN.md` §16.2).
+#[derive(Default)]
+pub(crate) struct Journal {
+    /// Replay base: the durable state preceding `tail[0]`.
+    pub(crate) anchor: DurableState,
+    /// Mutations folded into `anchor` (monotonic across restarts).
+    pub(crate) anchor_seq: u64,
+    /// State-changing commands acknowledged since `anchor`.
+    pub(crate) tail: Vec<Command>,
+}
+
+impl Journal {
+    /// A journal whose anchor folds `anchor_seq` mutations.
+    pub(crate) fn new(anchor: DurableState, anchor_seq: u64) -> Self {
+        Self {
+            anchor,
+            anchor_seq,
+            tail: Vec::new(),
+        }
+    }
+
+    /// Mutations acknowledged over the session's lifetime.
+    pub(crate) fn seq(&self) -> u64 {
+        self.anchor_seq + self.tail.len() as u64
+    }
+
+    /// Runs `exec` — the lane's confinement of the client's `cmd` — on
+    /// `session`, and journals `cmd` when it changed state. Live traffic
+    /// and [`replay`] both come through here, so they fold the anchor
+    /// identically.
+    ///
+    /// # Errors
+    ///
+    /// The command's own error; nothing is journaled then.
+    pub(crate) fn execute(
+        &mut self,
+        session: &mut Session,
+        cmd: &Command,
+        exec: &Command,
+    ) -> Result<String, MgbaError> {
+        if !cmd.is_state_changing() {
+            return session.handle(exec);
+        }
+        let replaces_design = matches!(cmd, Command::Load { .. } | Command::Restore { .. });
+        let promotes = !(replaces_design || (session.cache_armed() && reads_warm_cache(cmd)));
+        let pre_state = promotes.then(|| session.durable_state());
+        let result = session.handle(exec)?;
+        if replaces_design {
+            *self = Journal::new(session.durable_state(), self.seq() + 1);
+            return Ok(result);
+        }
+        if let Some(anchor) = pre_state {
+            self.anchor_seq = self.seq();
+            self.anchor = anchor;
+            self.tail.clear();
+        }
+        self.tail.push(cmd.clone());
+        Ok(result)
+    }
+
+    /// Panic recovery: replaces `session`'s possibly half-mutated state
+    /// with the journal's, rebuilt by [`replay`] like startup recovery.
+    /// The slow-query ring and the durability-loss flag carry over. The
+    /// session keeps the replayed `degraded` flag and is degraded also
+    /// when replay stopped short or the recovered design has no
+    /// calibration; if even the anchor does not rebuild, it serves empty
+    /// and degraded, re-anchored on that. Returns why replay stopped
+    /// short, if it did.
+    pub(crate) fn recover(
+        &mut self,
+        session: &mut Session,
+        state_dir: Option<&std::path::Path>,
+    ) -> Option<String> {
+        let seq = self.seq();
+        let tail = std::mem::take(&mut self.tail);
+        match replay(self, tail, state_dir) {
+            Ok((rebuilt, stopped)) => {
+                let old = std::mem::replace(session, rebuilt);
+                session.slowlog = old.slowlog;
+                session.slow_dropped = old.slow_dropped;
+                session.durability_lost = old.durability_lost;
+                session.degraded |= stopped.is_some()
+                    || session
+                        .loaded
+                        .as_ref()
+                        .is_some_and(|l| l.calibrated.is_none());
+                obs::counter_add("server.session.restored", 1);
+                stopped
+            }
+            Err(e) => {
+                // Catastrophic: even the anchor will not rebuild (e.g.
+                // its netlist file vanished). Serve an empty, explicitly
+                // degraded session rather than crash.
+                session.loaded = None;
+                session.degraded = true;
+                *self = Journal::new(session.durable_state(), seq);
+                obs::counter_add("server.session.restore_failed", 1);
+                eprintln!("mgba-server: session restore failed: {e}");
+                Some(format!("anchor does not rebuild: {e}"))
+            }
+        }
+    }
+}
+
+/// The one replay routine, shared by startup and panic recovery: it
+/// rebuilds `journal`'s anchor as a fresh session and runs `cmds` on it
+/// through [`Journal::execute`], re-applying `--state-dir` confinement,
+/// without the `server.handle` chaos hook, each under `catch_unwind`. It
+/// stops at the first command that errors or panics and says why; the
+/// session then holds exactly the replayed prefix (rebuilt once more
+/// after a panic). Errors when the anchor does not rebuild.
+pub(crate) fn replay(
+    journal: &mut Journal,
+    cmds: Vec<Command>,
+    state_dir: Option<&std::path::Path>,
+) -> Result<(Session, Option<String>), MgbaError> {
+    let d = &journal.anchor;
+    let mut session = Session {
+        loaded: d.design.as_ref().map(Session::rebuild).transpose()?,
+        degraded: d.degraded,
+        recalib_warm: d.recalib_warm,
+        recalib_cold: d.recalib_cold,
+        history: d.history.iter().cloned().collect(),
+        history_evicted: d.history_evicted,
+        fits_total: d.fits_total,
+        commits_since_fit: d.commits_since_fit,
+        ..Session::default()
+    };
+    for cmd in cmds {
+        let exec = match confine_command(state_dir, &cmd) {
+            Ok(exec) => exec,
+            Err(msg) => return Ok((session, Some(format!("unconfinable command: {msg}")))),
+        };
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            journal.execute(&mut session, &cmd, exec.as_ref().unwrap_or(&cmd))
+        }));
+        let why = match ran {
+            Ok(Ok(_)) => continue,
+            Ok(Err(e)) => return Ok((session, Some(format!("`{}` failed: {e}", cmd.name())))),
+            Err(payload) => format!(
+                "`{}` panicked: {}",
+                cmd.name(),
+                crate::registry::panic_message(payload.as_ref())
+            ),
+        };
+        let prefix = std::mem::take(&mut journal.tail);
+        let (session, _) = replay(journal, prefix, state_dir)?;
+        return Ok((session, Some(why)));
+    }
+    Ok((session, None))
+}
+
+/// Rewrites the file argument of `snapshot`/`restore` under `state_dir`
+/// (`--state-dir`), the server's whole file surface then: absolute paths
+/// and any non-plain component (`..`, `.`) are rejected. `Ok(None)`:
+/// execute the command as sent — no state dir, or no path to confine.
+pub(crate) fn confine_command(
+    state_dir: Option<&std::path::Path>,
+    cmd: &Command,
+) -> Result<Option<Command>, String> {
+    let (Some(dir), Command::Snapshot { file } | Command::Restore { file }) = (state_dir, cmd)
+    else {
+        return Ok(None);
+    };
+    let p = std::path::Path::new(file);
+    if p.is_absolute()
+        || p.components()
+            .any(|c| !matches!(c, std::path::Component::Normal(_)))
+    {
+        return Err(format!(
+            "path `{file}` escapes the state dir (absolute paths and `..`/`.` components \
+             are rejected while `--state-dir` is set)"
+        ));
+    }
+    let file = dir.join(p).to_string_lossy().into_owned();
+    Ok(Some(match cmd {
+        Command::Snapshot { .. } => Command::Snapshot { file },
+        _ => Command::Restore { file },
+    }))
+}
+
+/// Renders a durable state as the checkpoint text format, shared by
+/// on-disk `.ckpt` files and `snapshot` files:
 ///
 /// ```text
 /// # mgba ckpt v1
-/// seq <records folded into this anchor>
+/// seq <records folded into this anchor; 0 in snapshot files>
 /// degraded <0|1>
 /// counters <warm> <cold> <fits> <commits_since_fit> <evicted>
 /// history <count>
@@ -1589,7 +1619,7 @@ pub(crate) struct DurableState {
 /// Floats use `{:?}` (shortest exact round-trip) and names are
 /// tab-separated, so parse → render is byte-stable and recovery is
 /// bit-exact. Written via `atomic_write_text` (tmp + fsync + rename):
-/// a crash mid-checkpoint leaves the previous anchor intact.
+/// a crash mid-write leaves the previous file intact.
 pub(crate) fn render_checkpoint(d: &DurableState, seq: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# mgba ckpt v1");
@@ -1606,7 +1636,7 @@ pub(crate) fn render_checkpoint(d: &DurableState, seq: u64) -> String {
         write_history_record(&mut w, r);
         let _ = writeln!(out, "{}", w.finish());
     }
-    match &d.snap {
+    match &d.design {
         None => {
             let _ = writeln!(out, "loaded 0");
         }
@@ -1628,14 +1658,19 @@ pub(crate) fn render_checkpoint(d: &DurableState, seq: u64) -> String {
     out
 }
 
-/// Parses the `.ckpt` text format back into an anchor plus its WAL
-/// sequence number. Returns a typed error on any malformation — a
-/// corrupt checkpoint must refuse recovery loudly, never panic or
-/// restore a half-read state.
+/// The `parse` error a malformed checkpoint or snapshot file gets.
+fn bad(reason: String) -> MgbaError {
+    MgbaError::from(mgba::WeightsError::Malformed {
+        line: 0,
+        reason: format!("corrupt checkpoint: {reason}"),
+    })
+}
+
+/// Parses checkpoint text back into a durable state plus its `seq`.
+/// Any malformation — a file in the retired snapshot format included —
+/// is a `parse` error: a corrupt file must be refused loudly, never
+/// panic or restore a half-read state.
 pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaError> {
-    fn bad(reason: String) -> MgbaError {
-        MgbaError::Internal(format!("corrupt checkpoint: {reason}"))
-    }
     fn next_field(lines: &mut std::str::Lines<'_>, key: &str) -> Result<String, MgbaError> {
         let line = lines
             .next()
@@ -1679,13 +1714,15 @@ pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaEr
             .ok_or_else(|| bad(format!("truncated in history record {i}")))?;
         history.push(parse_history_record(line).map_err(|e| bad(format!("record {i}: {e}")))?);
     }
-    let loaded = match next_field(&mut lines, "loaded")?.as_str() {
+    let design = match next_field(&mut lines, "loaded")?.as_str() {
         "0" => None,
         "1" => {
             let spec = next_field(&mut lines, "spec")?;
             let period: f64 = next_field(&mut lines, "period")?
                 .parse()
-                .map_err(|_| bad("bad `period`".into()))?;
+                .ok()
+                .filter(|p: &f64| *p > 0.0 && p.is_finite())
+                .ok_or_else(|| bad("bad `period`".into()))?;
             let calibrated = match next_field(&mut lines, "calibrated")?.as_str() {
                 "-" => None,
                 name => Some(name.to_owned()),
@@ -1716,10 +1753,12 @@ pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaEr
                     .ok_or_else(|| bad(format!("weight {i}: expected `cell\\tvalue`")))?;
                 let w: f64 = w
                     .parse()
-                    .map_err(|_| bad(format!("weight {i}: bad value `{w}`")))?;
+                    .ok()
+                    .filter(|w: &f64| w.is_finite())
+                    .ok_or_else(|| bad(format!("weight {i}: bad value `{w}`")))?;
                 weights.push((cell.to_owned(), w));
             }
-            Some(MemSnapshot {
+            Some(DesignState {
                 spec,
                 period,
                 calibrated,
@@ -1731,7 +1770,7 @@ pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaEr
     };
     Ok((
         DurableState {
-            snap: loaded,
+            design,
             degraded,
             recalib_warm,
             recalib_cold,
@@ -1747,6 +1786,7 @@ pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaEr
 /// Parses one checkpoint history line (the `history` response element
 /// shape) back into a [`CalibrationRecord`].
 fn parse_history_record(line: &str) -> Result<CalibrationRecord, String> {
+    use FallbackStage::{Cgnr, Gd, Identity, Primary};
     let v = crate::json::parse(line).map_err(|e| e.to_string())?;
     let u = |key: &str| {
         v.get(key)
@@ -1769,13 +1809,13 @@ fn parse_history_record(line: &str) -> Result<CalibrationRecord, String> {
         "cold" => "cold",
         other => return Err(format!("bad mode `{other}`")),
     };
-    // Fallback-stage names are a small closed set of static strings in
-    // the fit layer; a checkpoint round-trip re-interns the one it
-    // stored (bounded: once per distinct stage name per recovery).
-    let fallback: &'static str = match s("fallback_stage")?.as_str() {
-        "none" => "none",
-        other => Box::leak(other.to_owned().into_boxed_str()),
-    };
+    // Map the stored stage back onto the fit layer's static name.
+    let stage = s("fallback_stage")?;
+    let fallback = [Primary, Cgnr, Gd, Identity]
+        .into_iter()
+        .map(FallbackStage::name)
+        .find(|name| *name == stage)
+        .ok_or_else(|| format!("bad fallback_stage `{stage}`"))?;
     let converged = match v.get("converged") {
         Some(crate::json::Value::Bool(b)) => *b,
         _ => return Err("missing `converged`".into()),
@@ -1907,6 +1947,24 @@ mod tests {
         let dir = std::env::temp_dir().join("mgba_server_session_test");
         std::fs::create_dir_all(&dir).unwrap();
         let mut s = Session::new();
+        let head = "# mgba ckpt v1\nseq 0\ndegraded 0\ncounters 0 0 0 0 0\nhistory 0\n";
+        let design = format!("{head}loaded 1\nspec small:1\nperiod 900.0\ncalibrated -\n");
+        let ckpt_defects = [
+            (
+                "ckpt_badperiod.mgba",
+                format!("{head}loaded 1\nspec small:1\nperiod zzz\n"),
+            ),
+            (
+                "ckpt_truncweights.mgba",
+                format!("{design}resizes 0\nweights 2\ng_1_0_0\t0.5\n"),
+            ),
+            (
+                "ckpt_unknowncell.mgba",
+                format!("{design}resizes 0\nweights 1\nno_such_cell\t0.5\n"),
+            ),
+            ("ckpt_nodesign.mgba", format!("{head}loaded 0\n")),
+        ];
+        // Files in the retired snapshot format now fail at the header.
         for (name, content) in [
             ("empty.mgba", ""),
             ("notsnap.mgba", "hello\n"),
@@ -1919,7 +1977,10 @@ mod tests {
                 "badweights.mgba",
                 "# mgba snapshot v1 design=x\nspec small:1\nperiod 900.0\nweights\nnot_a_pair\n",
             ),
-        ] {
+        ]
+        .into_iter()
+        .chain(ckpt_defects.iter().map(|(n, c)| (*n, c.as_str())))
+        {
             let p = dir.join(name);
             std::fs::write(&p, content).unwrap();
             let req = format!(r#"{{"cmd":"restore","file":"{}"}}"#, p.to_str().unwrap());
@@ -1929,6 +1990,73 @@ mod tests {
         // Missing file is an I/O error, not a panic.
         let e = handle(&mut s, r#"{"cmd":"restore","file":"/nonexistent/s.mgba"}"#).unwrap_err();
         assert!(matches!(e, MgbaError::Io { .. }));
+    }
+
+    #[test]
+    fn restore_keeps_committed_resizes() {
+        let (mut live, cells) = calibrated_session("small:11");
+        let mut commits = 0;
+        for name in &cells {
+            let req = format!(r#"{{"cmd":"commit","cell":"{name}","to":"up"}}"#);
+            commits += usize::from(handle(&mut live, &req).is_ok());
+        }
+        assert!(commits >= 2, "only {commits} upsizes committed");
+        let file = std::env::temp_dir().join(format!(
+            "mgba_server_session_resized_{}.mgba",
+            std::process::id()
+        ));
+        let file = file.to_str().unwrap();
+        handle(
+            &mut live,
+            &format!(r#"{{"cmd":"snapshot","file":"{file}"}}"#),
+        )
+        .unwrap();
+        let mut restored = Session::new();
+        handle(
+            &mut restored,
+            &format!(r#"{{"cmd":"restore","file":"{file}"}}"#),
+        )
+        .unwrap();
+        for query in [
+            r#"{"cmd":"wns"}"#,
+            r#"{"cmd":"tns"}"#,
+            r#"{"cmd":"slack","top":10}"#,
+        ] {
+            assert_eq!(
+                handle(&mut restored, query).unwrap(),
+                handle(&mut live, query).unwrap(),
+                "{query}"
+            );
+        }
+        let _ = std::fs::remove_file(file);
+    }
+
+    #[test]
+    fn history_records_take_only_known_fallback_stages() {
+        let record = CalibrationRecord {
+            fit_seq: 3,
+            mode: "warm",
+            solver: "SCG+RS".into(),
+            fallback: FallbackStage::Gd.name(),
+            iterations: 40,
+            converged: true,
+            mse_before: 2.5,
+            mse_after: 0.25,
+            wns: -12.0,
+            tns: -80.5,
+            weights_nonzero: 7,
+            weights_total: 90,
+            commits_since_fit: 2,
+        };
+        let mut w = JsonWriter::new();
+        write_history_record(&mut w, &record);
+        let line = w.finish();
+        assert_eq!(parse_history_record(&line), Ok(record));
+        for stage in ["none", "bogus"] {
+            let line = line.replace(r#""gd""#, &format!(r#""{stage}""#));
+            let e = parse_history_record(&line).unwrap_err();
+            assert!(e.contains("fallback_stage"), "{stage}: {e}");
+        }
     }
 
     #[test]
@@ -1965,25 +2093,33 @@ mod tests {
             .unwrap()
     }
 
+    /// Runs `line` the way the writer lane does: through the journal.
+    fn journaled(s: &mut Session, j: &mut Journal, line: &str) -> Result<String, MgbaError> {
+        let req = crate::proto::parse_request(line)
+            .map_err(|(_, e)| e)
+            .unwrap();
+        j.execute(s, &req.cmd, &req.cmd)
+    }
+
     #[test]
     fn recover_restores_calibrated_state_bit_for_bit() {
-        let mut s = Session::new();
-        handle(&mut s, r#"{"cmd":"load","design":"small:11"}"#).unwrap();
-        handle(&mut s, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:11"}"#).unwrap();
+        journaled(&mut s, &mut j, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
         let wns_cal = wns_of(&mut s);
         // Simulate the worker catching a panic mid-request: the engine
-        // is discarded and rebuilt from the last checkpoint.
-        s.recover();
+        // is discarded and rebuilt from the journal.
+        assert_eq!(j.recover(&mut s, None), None);
         assert!(!s.is_degraded(), "full checkpoint restores calibration");
         assert_eq!(wns_of(&mut s).to_bits(), wns_cal.to_bits());
     }
 
     #[test]
     fn recover_without_calibration_is_degraded_until_recalibrated() {
-        let mut s = Session::new();
-        handle(&mut s, r#"{"cmd":"load","design":"small:7"}"#).unwrap();
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:7"}"#).unwrap();
         let wns0 = wns_of(&mut s);
-        s.recover();
+        j.recover(&mut s, None);
         assert!(s.is_degraded(), "post-fault uncalibrated state is degraded");
         // Still serving — raw GBA answers, identical to the pre-fault load.
         assert_eq!(wns_of(&mut s).to_bits(), wns0.to_bits());
@@ -1993,8 +2129,8 @@ mod tests {
 
     #[test]
     fn recover_with_no_checkpoint_serves_empty_session() {
-        let mut s = Session::new();
-        s.recover();
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        j.recover(&mut s, None);
         assert!(!s.is_degraded(), "empty state is fully restored");
         assert!(matches!(
             handle(&mut s, r#"{"cmd":"wns"}"#),
@@ -2005,8 +2141,8 @@ mod tests {
 
     #[test]
     fn recover_replays_committed_resizes() {
-        let mut s = Session::new();
-        handle(&mut s, r#"{"cmd":"load","design":"small:13"}"#).unwrap();
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:13"}"#).unwrap();
         let p = obj(&handle(&mut s, r#"{"cmd":"path"}"#).unwrap());
         let cells: Vec<String> = match p.get("cells").unwrap() {
             Value::Arr(a) => a.iter().map(|v| v.as_str().unwrap().to_owned()).collect(),
@@ -2015,19 +2151,135 @@ mod tests {
         let mut committed = false;
         for name in &cells {
             let req = format!(r#"{{"cmd":"commit","cell":"{name}","to":"up"}}"#);
-            if handle(&mut s, &req).is_ok() {
+            if journaled(&mut s, &mut j, &req).is_ok() {
                 committed = true;
                 break;
             }
         }
         assert!(committed, "no resizable cell on the worst path");
         let wns_after_commit = wns_of(&mut s);
-        s.recover();
+        j.recover(&mut s, None);
         assert_eq!(
             wns_of(&mut s).to_bits(),
             wns_after_commit.to_bits(),
             "recovery must replay the committed resize"
         );
+    }
+
+    /// A scratch file path unique to this test process.
+    fn scratch_file(name: &str) -> String {
+        let dir = std::env::temp_dir().join("mgba_server_session_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}_{name}", std::process::id()));
+        path.to_str().unwrap().to_owned()
+    }
+
+    #[test]
+    fn recover_serves_the_replayed_prefix_degraded_when_replay_fails() {
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:7"}"#).unwrap();
+        let wns_loaded = wns_of(&mut s);
+        // A tail `restore` whose file is gone, as a WAL can hold one.
+        j.tail.push(Command::Restore {
+            file: scratch_file("replay_fails.mgba"),
+        });
+        let why = j
+            .recover(&mut s, None)
+            .expect("replay stops at the restore");
+        assert!(why.contains("`restore` failed"), "{why}");
+        assert!(s.is_degraded());
+        assert_eq!(wns_of(&mut s).to_bits(), wns_loaded.to_bits());
+        // The journal now holds exactly the served prefix.
+        assert_eq!(j.recover(&mut s, None), None);
+        assert_eq!(wns_of(&mut s).to_bits(), wns_loaded.to_bits());
+    }
+
+    #[test]
+    fn recover_after_restore_does_not_reread_the_file() {
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        let snap = scratch_file("restored_then_removed.mgba");
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:11"}"#).unwrap();
+        journaled(&mut s, &mut j, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
+        handle(&mut s, &format!(r#"{{"cmd":"snapshot","file":"{snap}"}}"#)).unwrap();
+        let restore = format!(r#"{{"cmd":"restore","file":"{snap}"}}"#);
+        journaled(&mut s, &mut j, &restore).unwrap();
+        let wns_restored = wns_of(&mut s);
+        // `restore` anchors on its post-state, so the file is not needed.
+        std::fs::remove_file(&snap).unwrap();
+        assert_eq!(j.recover(&mut s, None), None);
+        assert!(!s.is_degraded());
+        assert_eq!(wns_of(&mut s).to_bits(), wns_restored.to_bits());
+    }
+
+    #[test]
+    fn recover_keeps_the_calibrated_solver() {
+        // Cold refits that inherit the session's solver (`commit` with
+        // `full`) must replay with CGNR, not the SCG+RS default.
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:11"}"#).unwrap();
+        journaled(&mut s, &mut j, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
+        let p = obj(&handle(&mut s, r#"{"cmd":"path"}"#).unwrap());
+        let cells: Vec<String> = match p.get("cells").unwrap() {
+            Value::Arr(a) => a.iter().map(|v| v.as_str().unwrap().to_owned()).collect(),
+            other => panic!("{other:?}"),
+        };
+        let victim = resizable_cell(&mut s, &cells);
+        let full = format!(r#"{{"cmd":"commit","cell":"{victim}","to":"up","full":true}}"#);
+        journaled(&mut s, &mut j, &full).unwrap();
+        let warm = format!(r#"{{"cmd":"commit","cell":"{victim}","to":"down"}}"#);
+        journaled(&mut s, &mut j, &warm).unwrap();
+        let history = handle(&mut s, r#"{"cmd":"history"}"#).unwrap();
+        assert!(!history.contains("SCG + RS"), "{history}");
+        assert_eq!(j.recover(&mut s, None), None);
+        assert_eq!(handle(&mut s, r#"{"cmd":"history"}"#).unwrap(), history);
+        // A cold refit after recovery still inherits CGNR.
+        let r = handle(&mut s, r#"{"cmd":"recalibrate","full":true}"#).unwrap();
+        assert!(r.contains("CGNR (reference)"), "{r}");
+    }
+
+    #[test]
+    fn recover_keeps_a_replayed_degraded_flag() {
+        // An anchor served degraded (e.g. its fit fell back to identity
+        // weights) stays degraded after recovery, calibrated or not.
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:7"}"#).unwrap();
+        journaled(&mut s, &mut j, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
+        let text = render_checkpoint(&s.durable_state(), 2).replace("degraded 0", "degraded 1");
+        let (anchor, seq) = parse_checkpoint(&text).unwrap();
+        let mut j = Journal::new(anchor, seq);
+        assert_eq!(j.recover(&mut s, None), None);
+        assert!(s.is_degraded());
+    }
+
+    #[test]
+    fn recover_serves_empty_degraded_when_the_anchor_does_not_rebuild() {
+        let (mut s, mut j) = (Session::new(), Journal::default());
+        let file = scratch_file("anchor.nl");
+        std::fs::write(
+            &file,
+            netlist::write_netlist(&netlist::GeneratorConfig::small(7).generate()),
+        )
+        .unwrap();
+        journaled(
+            &mut s,
+            &mut j,
+            &format!(r#"{{"cmd":"load","design":"{file}"}}"#),
+        )
+        .unwrap();
+        // The calibrate's pre-state — the loaded file — is the anchor.
+        journaled(&mut s, &mut j, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
+        std::fs::remove_file(&file).unwrap();
+        assert!(j.recover(&mut s, None).is_some());
+        assert!(s.is_degraded());
+        assert!(matches!(
+            handle(&mut s, r#"{"cmd":"wns"}"#),
+            Err(MgbaError::Usage(_))
+        ));
+        // Re-anchored on the empty session: a later panic finds it intact,
+        // and an explicit load starts over.
+        assert!(j.recover(&mut s, None).is_none());
+        journaled(&mut s, &mut j, r#"{"cmd":"load","design":"small:7"}"#).unwrap();
+        assert!(!s.is_degraded());
     }
 
     /// Loads a design, calibrates with CGNR, and returns the worst
@@ -2208,7 +2460,7 @@ mod tests {
         // Render → parse → render is byte-stable.
         assert_eq!(render_checkpoint(&parsed, 42), text);
         // The restored session serves bit-identical answers.
-        let mut r = Session::restore_durable(&parsed).unwrap();
+        let (mut r, _) = replay(&mut Journal::new(parsed, seq), Vec::new(), None).unwrap();
         assert_eq!(wns_of(&mut r).to_bits(), wns_live.to_bits());
         assert_eq!(
             handle(&mut r, r#"{"cmd":"history"}"#).unwrap(),

@@ -24,7 +24,7 @@ use mgba::{
     Solver,
 };
 use netlist::GeneratorConfig;
-use server::{Server, ServerConfig};
+use server::{serve_stream, Server, ServerConfig};
 use sta::{DerateSet, Sdc, Sta};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -402,6 +402,46 @@ fn wal_checkpoint_fault_is_a_durability_loss() {
 }
 
 #[test]
+fn snapshot_paths_stay_confined_after_durability_loss() {
+    // A lost WAL makes the session read-only, but `snapshot` is not a
+    // mutation and still runs: its path must stay inside the state dir.
+    let _lock = faultinject::exclusive();
+    faultinject::clear();
+    let dir = state_dir("confine_after_loss");
+    let escaped = tmp("escaped.snap");
+    let _ = std::fs::remove_file(&escaped);
+    let snapshot = format!(
+        r#"{{"id":4,"cmd":"snapshot","file":"{}"}}"#,
+        escaped.to_str().unwrap()
+    );
+    let (addr, handle) = start_durable(&dir);
+    let responses = transact(
+        addr,
+        &[
+            r#"{"id":1,"cmd":"load","design":"small:23"}"#,
+            r#"{"id":2,"cmd":"failpoint","spec":"wal.append=error*1"}"#,
+            r#"{"id":3,"cmd":"commit","cell":"g_1_0_0","to":"up"}"#,
+            &snapshot,
+            r#"{"id":5,"cmd":"shutdown"}"#,
+        ],
+    );
+    faultinject::clear();
+    handle.join().expect("server thread exits");
+    assert!(
+        responses[2].contains("\"code\":\"durability_lost\""),
+        "{}",
+        responses[2]
+    );
+    assert!(
+        responses[3].contains("\"code\":\"path_escape\""),
+        "{}",
+        responses[3]
+    );
+    assert!(!escaped.exists(), "snapshot escaped the state dir");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tcp_chaos_panic_is_isolated_and_calibration_survives() {
     // Arming goes over the protocol (`failpoint` command), so hold the
     // process-global registry lock manually for the whole scenario.
@@ -504,4 +544,100 @@ fn tcp_chaos_uncalibrated_panic_degrades_until_recalibrated() {
     assert!(responses[5].contains("\"ok\":true"), "{}", responses[5]);
     assert!(!responses[5].contains("degraded"), "{}", responses[5]);
     handle.join().expect("server thread exits");
+}
+
+// --- Panic drill: recovery replays the journal exactly -------------------
+
+/// The mutation storm of `scripts/crash_recovery.sh`.
+const STORM: [&str; 8] = [
+    r#"{"id":1,"cmd":"load","design":"small:7"}"#,
+    r#"{"id":2,"cmd":"calibrate","solver":"scgrs"}"#,
+    r#"{"id":3,"cmd":"commit","cell":"g_1_0_0","to":"up"}"#,
+    r#"{"id":4,"cmd":"commit","cell":"g_1_1_0","to":"up"}"#,
+    r#"{"id":5,"cmd":"commit","cell":"g_0_0_1","to":"up"}"#,
+    r#"{"id":6,"cmd":"recalibrate"}"#,
+    r#"{"id":7,"cmd":"commit","cell":"g_1_0_0","to":"down"}"#,
+    r#"{"id":8,"cmd":"commit","cell":"g_0_0_2","to":"up"}"#,
+];
+
+/// The script's v1 read suite: v1 envelopes carry no `request_id`, so
+/// replies compare byte for byte across runs.
+const READS: [&str; 4] = [
+    r#"{"id":90,"cmd":"slack","top":5}"#,
+    r#"{"id":91,"cmd":"wns"}"#,
+    r#"{"id":92,"cmd":"tns"}"#,
+    r#"{"id":93,"cmd":"history"}"#,
+];
+
+/// Serves `requests` in-process with the default config.
+fn stream(requests: &[&str]) -> Vec<String> {
+    let mut script = requests.join("\n");
+    script.push('\n');
+    let out = serve_stream(
+        &ServerConfig::default(),
+        script.as_bytes(),
+        Vec::<u8>::new(),
+    )
+    .expect("stream run");
+    String::from_utf8(out)
+        .expect("utf8 responses")
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// A CGNR session whose cold refits inherit its solver: `commit` with
+/// `full`, then warm commits on top.
+const CGNR_STORM: [&str; 5] = [
+    r#"{"id":1,"cmd":"load","design":"small:7"}"#,
+    r#"{"id":2,"cmd":"calibrate","solver":"cgnr"}"#,
+    r#"{"id":3,"cmd":"commit","cell":"g_1_0_0","to":"up","full":true}"#,
+    r#"{"id":4,"cmd":"commit","cell":"g_1_1_0","to":"up"}"#,
+    r#"{"id":5,"cmd":"commit","cell":"g_0_0_1","to":"up"}"#,
+];
+
+/// Runs `storm` then the read suite, once uninterrupted and once with a
+/// one-shot panic after each of its mutations, and asserts that every
+/// reply after the panicking request is the uninterrupted run's.
+fn drill(storm: &[&str]) {
+    let reference = stream(&[storm, &READS[..]].concat());
+    for r in &reference {
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+    for k in 1..=storm.len() {
+        let drill = [
+            &storm[..k],
+            &[
+                r#"{"id":70,"cmd":"failpoint","spec":"server.handle=panic*1"}"#,
+                r#"{"id":71,"cmd":"wns"}"#,
+            ],
+            &storm[k..],
+            &READS[..],
+        ]
+        .concat();
+        let replies = stream(&drill);
+        faultinject::clear();
+        assert!(
+            replies[k + 1].contains("\"kind\":\"internal\""),
+            "panic after mutation {k}: {}",
+            replies[k + 1]
+        );
+        assert_eq!(
+            &replies[k + 2..],
+            &reference[k..],
+            "replies after a panic following mutation {k}"
+        );
+    }
+}
+
+#[test]
+fn replies_after_a_caught_panic_match_a_fault_free_run() {
+    // A caught panic rebuilds the session from its journal, so the
+    // warm refits that follow — and every later reply — are the ones an
+    // uninterrupted session gives.
+    let _lock = faultinject::exclusive();
+    faultinject::clear();
+    drill(&STORM);
+    // Replayed cold refits keep the session's solver.
+    drill(&CGNR_STORM);
 }
