@@ -23,10 +23,9 @@
 //! - `edif_import`: export the calibrate design to EDIF and re-import
 //!   it (strict importer, collected-issues lint included) five times, so
 //!   ingestion wall time sits in the regression gate;
-//! - `server_saturation`: concurrent pipelined read clients over TCP,
-//!   writer-lane funnel vs read-worker pool. The throughputs ride along
-//!   as `read_qps_`-prefixed QoR keys (also drift-gate-exempt); CI pins
-//!   `--require-min server_saturation:read_qps_scaling:1.0`.
+//! - `server_saturation`: concurrent pipelined read clients over TCP
+//!   against one session's writer lane. The throughput rides along as
+//!   the `read_qps_lane` QoR key, drift-gate-exempt like `wall_` keys.
 
 use bench::harness::{commit_sha, run_scenario, write_report, ScenarioResult};
 use bench::saturation::{self, SaturationSpec};
@@ -214,14 +213,11 @@ fn edif_import() -> ScenarioResult {
 fn server_saturation() -> ScenarioResult {
     run_scenario("server_saturation", || {
         let spec = SaturationSpec::default();
-        let sat = saturation::run(&spec);
+        let read_qps_lane = saturation::run(&spec);
         vec![
             ("clients".into(), spec.clients as f64),
             ("reads_per_client".into(), spec.reads_per_client as f64),
-            ("read_workers".into(), spec.read_workers as f64),
-            ("read_qps_single".into(), sat.read_qps_single),
-            ("read_qps_multi".into(), sat.read_qps_multi),
-            ("read_qps_scaling".into(), sat.read_qps_scaling),
+            ("read_qps_lane".into(), read_qps_lane),
         ]
     })
 }

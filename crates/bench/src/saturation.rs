@@ -1,21 +1,12 @@
-//! Read-throughput saturation runner: proves the server's read/write
-//! snapshot split scales read-query throughput with the read-worker
-//! count.
+//! Read-throughput saturation runner: how many read queries per second
+//! one session's writer lane serves to concurrent pipelined clients.
 //!
 //! One trial spins up a TCP server, loads a design into one session,
 //! and then hammers it with `clients` concurrent pipelined connections
-//! issuing read-only queries (`wns`/`tns`/`slack`). The measurement is
-//! repeated with the read pool disabled (`read_workers = 0`, every read
-//! funnels through the session's writer lane) and enabled; the ratio of
-//! the two throughputs is the `read_qps_scaling` figure the CI bench
-//! gate pins with `--require-min server_saturation:read_qps_scaling:1.0`.
-//!
-//! Even on a single-core host the split mode must not lose: a pooled
-//! read whose write ticket is already published executes *inline* on
-//! the connection's reader thread — strictly fewer cross-thread
-//! handoffs than the lane funnel — so the ratio's floor is structural,
-//! not a parallelism bet. Each mode reports its best-of-`trials`
-//! throughput to shave scheduler noise.
+//! issuing read-only queries (`wns`/`tns`/`slack`). Every read runs on
+//! the session's writer lane, so the figure measures admission, the
+//! lane handoff and the reply path under contention. The result is the
+//! best-of-`trials` throughput, which shaves scheduler noise.
 
 use server::client::{Client, ClientConfig};
 use server::proto::Command;
@@ -34,10 +25,7 @@ pub struct SaturationSpec {
     pub clients: usize,
     /// Read requests issued by each client per trial.
     pub reads_per_client: usize,
-    /// Read-pool size of the "multi" mode (the "single" mode always
-    /// runs at 0 — the writer-lane funnel).
-    pub read_workers: usize,
-    /// Trials per mode; each mode reports its best throughput.
+    /// Trials; the best throughput is reported.
     pub trials: usize,
 }
 
@@ -47,23 +35,9 @@ impl Default for SaturationSpec {
             design: "small:5".into(),
             clients: 4,
             reads_per_client: 150,
-            read_workers: 4,
             trials: 3,
         }
     }
-}
-
-/// Throughputs of the two modes plus their ratio.
-#[derive(Debug, Clone, Copy)]
-pub struct SaturationResult {
-    /// Best read throughput with every read funneled through the
-    /// writer lane (`read_workers = 0`), queries per second.
-    pub read_qps_single: f64,
-    /// Best read throughput with the read pool enabled.
-    pub read_qps_multi: f64,
-    /// `read_qps_multi / read_qps_single` — the scaling figure the CI
-    /// gate pins at ≥ 1.0.
-    pub read_qps_scaling: f64,
 }
 
 fn client_config(session: &str) -> ClientConfig {
@@ -86,12 +60,11 @@ fn read_command(i: usize) -> Command {
 }
 
 /// One trial: returns read queries per second over the measured span.
-fn trial_qps(spec: &SaturationSpec, read_workers: usize) -> f64 {
+fn trial_qps(spec: &SaturationSpec) -> f64 {
     let srv = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
             queue_depth: WINDOW * spec.clients + 8,
-            read_workers,
             ..ServerConfig::default()
         },
     )
@@ -142,20 +115,9 @@ fn trial_qps(spec: &SaturationSpec, read_workers: usize) -> f64 {
     (spec.clients * spec.reads_per_client) as f64 / elapsed.max(1e-9)
 }
 
-fn best_qps(spec: &SaturationSpec, read_workers: usize) -> f64 {
+/// Best read throughput over `spec.trials` trials, queries per second.
+pub fn run(spec: &SaturationSpec) -> f64 {
     (0..spec.trials.max(1))
-        .map(|_| trial_qps(spec, read_workers))
+        .map(|_| trial_qps(spec))
         .fold(0.0, f64::max)
-}
-
-/// Runs both modes and returns their best throughputs and the scaling
-/// ratio.
-pub fn run(spec: &SaturationSpec) -> SaturationResult {
-    let read_qps_single = best_qps(spec, 0);
-    let read_qps_multi = best_qps(spec, spec.read_workers);
-    SaturationResult {
-        read_qps_single,
-        read_qps_multi,
-        read_qps_scaling: read_qps_multi / read_qps_single.max(1e-9),
-    }
 }

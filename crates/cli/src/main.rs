@@ -13,7 +13,7 @@
 //! mgba-sta corners   <FILE> --period PS
 //! mgba-sta sdf       <FILE> --period PS [--fit] [--out FILE]
 //! mgba-sta serve     [--listen ADDR | --stdio] [--queue N] [--deadline-ms MS]
-//!                    [--read-workers N] [--session-ttl-secs S] [--slow-ms MS]
+//!                    [--session-ttl-secs S] [--slow-ms MS]
 //!                    [--state-dir DIR] [--checkpoint-every N]
 //! mgba-sta query     --connect ADDR [--timeout-ms MS] [--retries N]
 //!                    [--backoff-ms MS] [--session NAME] [--proto 1|2]
@@ -107,14 +107,13 @@ usage:
   mgba-sta corners   <FILE> --period PS
   mgba-sta sdf       <FILE> --period PS [--fit] [--out FILE]
   mgba-sta serve     [--listen ADDR | --stdio] [--queue N] [--deadline-ms MS]
-                     [--read-workers N] [--session-ttl-secs S] [--slow-ms MS]
+                     [--session-ttl-secs S] [--slow-ms MS]
                      [--state-dir DIR] [--checkpoint-every N]
-                     (N read-pool threads serve read-only queries from
-                     lock-free session snapshots; 0 = funnel everything
-                     through the writer lane. Sessions idle longer than S
+                     (each session runs its commands in admission order
+                     on its own writer lane. Sessions idle longer than S
                      seconds are evicted lazily; 0/unset = never.
-                     --slow-ms records lane commands executing >= MS ms
-                     in the per-session ring served by `slowlog`.
+                     --slow-ms records non-read commands executing >= MS
+                     ms in the per-session ring served by `slowlog`.
                      --state-dir makes sessions durable: every mutation is
                      fsynced to a per-session write-ahead log before it is
                      acknowledged, a checkpoint is cut every N records
@@ -668,13 +667,6 @@ fn cmd_serve(args: &mut Args) -> Result<(), MgbaError> {
         ),
         None => None,
     };
-    let read_workers: usize = args.option("--read-workers")?.map_or(Ok(0), |n| {
-        n.parse().map_err(|_| {
-            MgbaError::Usage(format!(
-                "bad --read-workers `{n}` (want a non-negative integer)"
-            ))
-        })
-    })?;
     let session_ttl_secs: Option<u64> = match args.option("--session-ttl-secs")? {
         Some(s) => Some(s.parse().map_err(|_| {
             MgbaError::Usage(format!(
@@ -710,7 +702,6 @@ fn cmd_serve(args: &mut Args) -> Result<(), MgbaError> {
     let config = server::ServerConfig {
         queue_depth,
         default_deadline_ms,
-        read_workers,
         session_ttl_secs,
         slow_ms,
         state_dir,

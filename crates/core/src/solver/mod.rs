@@ -304,7 +304,11 @@ impl ObjectiveProbe {
         Self { rows }
     }
 
-    /// Estimates the penalized objective on the probe rows.
+    /// Sums the squared residual `(aᵢ·x − (s_gba − s_pba)ᵢ)²` over the
+    /// probe rows. It leaves out the Eq. 6 penalty that
+    /// [`FitProblem::objective`] adds, so an iterate that trades a
+    /// smaller residual for a larger penalty reads as an improvement
+    /// here.
     pub(crate) fn estimate(&self, problem: &FitProblem, x: &[f64]) -> f64 {
         let mut f = 0.0;
         for &i in &self.rows {

@@ -123,8 +123,10 @@ pub fn solve_traced_from(
             obj,
             inner.iterations as u64,
         );
-        // Keep the better iterate when a round regresses on the full
-        // problem (possible when its subsample was unrepresentative).
+        // Keep the better iterate when a round regresses (possible when
+        // its subsample was unrepresentative). "Better" is the probe's
+        // unpenalized residual, not the penalized objective: a round
+        // that lowers the residual by breaking the Eq. 6 bound is kept.
         if obj <= prev_obj {
             x = inner.x;
             prev_obj = obj;

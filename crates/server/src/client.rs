@@ -501,10 +501,7 @@ mod tests {
 
     #[test]
     fn pipelined_sends_return_responses_in_order() {
-        let (addr, server) = spawn_server(ServerConfig {
-            read_workers: 2,
-            ..ServerConfig::default()
-        });
+        let (addr, server) = spawn_server(ServerConfig::default());
         let mut c = Client::connect(&addr, ClientConfig::default()).unwrap();
         let ids: Vec<u64> = (0..16)
             .map(|_| c.send(&Command::Ping, None).unwrap())

@@ -19,11 +19,12 @@
 //! - [`session`] — one resident design + engine + weights, every
 //!   command handler, and the journal whose replay rebuilds a session
 //!   after a panic or a restart.
-//! - [`registry`] — the session shard map: per-session writer lanes,
-//!   published read snapshots, write-ticket ordering, merged
+//! - [`registry`] — the session shard map: one writer lane per session
+//!   running every command in admission order, the gauges each lane
+//!   publishes for other sessions' `metrics` rows, merged
 //!   stats/metrics views.
-//! - [`server`] — bounded-queue admission, read/write split execution,
-//!   deadlines, graceful drain, TCP/stdio front-ends.
+//! - [`server`] — bounded-queue admission, deadlines, graceful drain,
+//!   TCP/stdio front-ends.
 //! - [`client`] — typed `Request`/`Response` wire API with
 //!   connect/timeout/retry, shared by the CLI `query` command and the
 //!   bench harness.

@@ -288,19 +288,18 @@ pub enum Command {
     /// Collected-issues lint of the loaded design: every structural
     /// defect (undriven/multiply-driven nets, dangling ports,
     /// combinational cycles, non-finite attributes, …) in one report.
-    /// Read-only: served from the published snapshot, byte-identical
-    /// across `--threads` and `--read-workers` settings.
+    /// Read-only and byte-identical across `--threads` settings.
     Lint,
-    /// The session's slow-query ring: write-lane commands whose
+    /// The session's slow-query ring: non-read commands whose
     /// execution met the server's `--slow-ms` threshold, oldest first,
     /// identified by `request_id` and command name (no timing fields,
-    /// so responses stay byte-identical across thread/read-worker
-    /// settings). Read-only: served from the published snapshot.
+    /// so responses stay byte-identical across thread counts).
+    /// Read-only.
     Slowlog,
     /// The session's calibration-drift history ring: one record per
     /// calibrate/recalibrate (fit-accuracy stats, WNS/TNS, weight
     /// sparsity, fallback stage, commits since the previous fit),
-    /// oldest first. Read-only: served from the published snapshot.
+    /// oldest first. Read-only.
     History,
     /// Evict one named session: its writer lane drains and exits, its
     /// engine memory is released, and the name becomes free for a fresh
@@ -361,10 +360,8 @@ impl Command {
         }
     }
 
-    /// True for commands that only read the published snapshot (never
-    /// mutate session state) and are eligible for the lock-free read
-    /// pool when one is configured. Everything else funnels through the
-    /// session's writer lane.
+    /// True for commands that only read session state, never mutate
+    /// it. The slow-query ring leaves them out.
     pub fn is_read(&self) -> bool {
         matches!(
             self,
@@ -382,7 +379,7 @@ impl Command {
 
     /// True for commands that change session state on success: the
     /// lane journals them, mirrors them to the WAL under `--state-dir`,
-    /// and publishes a fresh read snapshot after them.
+    /// and publishes the session's gauges after them.
     pub(crate) fn is_state_changing(&self) -> bool {
         matches!(
             self,

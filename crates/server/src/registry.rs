@@ -1,58 +1,42 @@
-//! The session registry: named concurrent sessions with a read/write
-//! split.
+//! The session registry: named sessions, each served by its own writer
+//! lane.
 //!
 //! # Sharding model
 //!
 //! Every session (protocol v2 `session` field; v1 requests map to
-//! `"default"`) owns exactly one **writer lane** — a thread that holds
-//! the session's [`Session`] state and executes mutating commands
-//! strictly in admission order. After every successful state-changing
-//! command the lane clones the immutable post-command engine into a
-//! [`ReadSnapshot`] behind an [`Arc`] and publishes it on the session's
-//! [`SessionHandle`].
+//! `"default"`) owns exactly one **writer lane**: a thread that holds
+//! the session's [`Session`] state and executes every command addressed
+//! to the session, reads included, strictly in admission order. A
+//! session's responses therefore depend only on its own request
+//! sequence, never on other sessions' traffic or the engine's thread
+//! count.
 //!
-//! Read-only queries (`ping`/`slack`/`wns`/`tns`/`path`) never touch the
-//! lane when the read pool is enabled: they execute against the
-//! published snapshot, either inline on the connection's reader thread
-//! (when the snapshot is already current) or on one of N shared read
-//! workers. With `read_workers = 0` (the default) every command funnels
-//! through the writer lane — byte-for-byte the legacy single-worker
-//! behavior.
+//! After every state change the lane publishes a `SessionGauges`
+//! record on the session's [`SessionHandle`]: the figures a `metrics`
+//! request served by another session renders for this one.
 //!
-//! # Determinism: write tickets
-//!
-//! Responses within a session must be identical no matter how many read
-//! workers serve them. The mechanism is a *write ticket*: every lane job
-//! gets the next ticket number at admission, and the lane bumps the
-//! session's `published` watermark after every job (success, error, or
-//! deadline reject alike). A read admitted after W writes captures
-//! ticket W and waits until `published >= W` before executing, so it
-//! always observes exactly the state produced by every write admitted
-//! before it — admission order, reconstructed without serializing reads
-//! behind each other.
-//!
-//! Tickets are committed only when the lane queue accepts the job; a
-//! full-queue rejection rolls the ticket back so readers never wait on
-//! work that was never admitted.
+//! Request ids are assigned at admission and committed only when the
+//! lane queue accepts the job; a full-queue rejection rolls the id
+//! back, so numbering is identical across runs that hit transient
+//! overload.
 
 use crate::proto::{self, Command, EnvMeta};
-use crate::session::{self, Journal, ServerInfo, Session};
+use crate::session::{self, Journal, ServerInfo, Session, SessionGauges};
 use crate::stats::{CommandStats, LatencyHist};
 use crate::wal;
 use mgba::MgbaError;
 use obs::json::JsonWriter;
-use sta::Sta;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Hard cap on concurrently resident sessions: each one costs a lane
-/// thread plus a resident engine clone, so runaway session creation is
-/// a usage error, not an OOM.
+/// thread plus a resident engine, so runaway session creation is a
+/// usage error, not an OOM.
 pub const MAX_SESSIONS: usize = 64;
 
 /// How often an idle lane re-checks the shutdown flag.
@@ -63,8 +47,8 @@ const LANE_POLL: Duration = Duration::from_millis(25);
 /// before the flag was set.
 const DRAIN_GRACE: Duration = Duration::from_millis(50);
 
-/// Counters shared between connection readers, lanes, read workers, and
-/// the accept loop.
+/// Counters shared between connection readers, lanes, and the accept
+/// loop.
 pub(crate) struct Shared {
     pub shutting_down: AtomicBool,
     pub served: AtomicU64,
@@ -73,15 +57,11 @@ pub(crate) struct Shared {
     pub panicked: AtomicU64,
     /// Sessions removed by TTL expiry or an explicit `close_session`.
     pub evicted: AtomicU64,
-    /// Reads admitted to the pool but not yet picked up; bounded by
-    /// [`Shared::read_backlog_cap`].
-    pub pending_reads: AtomicUsize,
     pub queue_depth: usize,
-    pub read_workers: usize,
 }
 
 impl Shared {
-    pub fn new(queue_depth: usize, read_workers: usize) -> Self {
+    pub fn new(queue_depth: usize) -> Self {
         Self {
             shutting_down: AtomicBool::new(false),
             served: AtomicU64::new(0),
@@ -89,23 +69,13 @@ impl Shared {
             rejected_deadline: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            pending_reads: AtomicUsize::new(0),
             queue_depth,
-            read_workers,
         }
-    }
-
-    /// Max pool-queued reads before admission answers `overload`. Reads
-    /// are cheap and lock-free, so the backlog runs deeper than the
-    /// per-session write queue.
-    pub fn read_backlog_cap(&self) -> usize {
-        self.queue_depth.saturating_mul(8).max(64)
     }
 
     pub fn info(&self) -> ServerInfo {
         ServerInfo {
             queue_depth: self.queue_depth,
-            read_workers: self.read_workers,
             served: self.served.load(Ordering::SeqCst),
             rejected_overload: self.rejected_overload.load(Ordering::SeqCst),
             rejected_deadline: self.rejected_deadline.load(Ordering::SeqCst),
@@ -144,11 +114,9 @@ pub(crate) struct WalCounters {
     pub checkpoints: AtomicU64,
 }
 
-/// Lock-free per-session durability facts serving the `health` command
-/// from both execution paths (writer lane and read pool). The lane
-/// stores into these before publishing each ticket, so a read admitted
-/// behind a write observes at least that write's facts — the same
-/// ordering contract the published snapshot gives every other read.
+/// Per-session durability facts behind the `health` command. The lane
+/// stores into these as each command settles, before it serves the
+/// next one, so `health` observes every command admitted before it.
 /// All fields are deterministic (no wall clock), keeping `health`
 /// responses pinned in the byte-identity matrix.
 #[derive(Default)]
@@ -164,8 +132,8 @@ pub(crate) struct DurabilityFacts {
     /// `wal_records` watermark folded into the newest on-disk
     /// checkpoint (0 = none yet).
     pub last_checkpoint_seq: AtomicU64,
-    /// Mirror of [`Session::is_degraded`] as of the latest published
-    /// write ticket.
+    /// Mirror of [`Session::is_degraded`] as of the latest settled
+    /// command.
     pub degraded: AtomicBool,
 }
 
@@ -188,83 +156,37 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// The immutable post-command state a session publishes for lock-free
-/// reads: an engine clone plus the envelope/gauge flags the read path
-/// needs.
-pub struct ReadSnapshot {
-    /// Cloned timing engine; queries against it are byte-identical to
-    /// queries against the live lane engine it was cloned from.
-    pub sta: Sta,
-    /// The session's degraded flag at publish time.
-    pub degraded: bool,
-    /// Whether mGBA weights were fitted at publish time.
-    pub calibrated: bool,
-    /// Calibration-drift ring clone at publish time (`history`).
-    pub(crate) history: Vec<session::CalibrationRecord>,
-    /// Records evicted from the history ring before this snapshot.
-    pub(crate) history_evicted: u64,
-    /// Slow-query ring clone at publish time (`slowlog`).
-    pub(crate) slowlog: Vec<session::SlowEntry>,
-    /// Entries evicted from the slow-query ring before this snapshot.
-    pub(crate) slow_dropped: u64,
-    /// When this snapshot was installed — read by the `snapshot_age`
-    /// stage histogram (how stale the served state was at execution).
-    pub(crate) installed_at: Instant,
-}
-
 /// One admitted writer-lane job.
 pub(crate) struct LaneJob {
     pub meta: EnvMeta,
     pub cmd: Command,
     pub deadline_ms: Option<u64>,
-    /// This job's write ticket; the lane publishes it when done.
-    pub ticket: u64,
     pub reply: mpsc::Sender<String>,
     pub enqueued: Instant,
 }
 
-/// One read query waiting for (or already holding) its snapshot.
-pub(crate) struct ReadJob {
-    pub meta: EnvMeta,
-    pub cmd: Command,
-    pub deadline_ms: Option<u64>,
-    /// The write ticket this read must observe before executing.
-    pub ticket: u64,
-    pub handle: Arc<SessionHandle>,
-    pub reply: mpsc::Sender<String>,
-    pub enqueued: Instant,
-}
-
-/// The always-shared face of one session: ticket counters, the
-/// published snapshot, and latency accounting. The mutable engine state
-/// lives on the lane thread ([`Session`]); this handle is what readers,
-/// admission, and the metrics renderers touch.
+/// The always-shared face of one session: admission numbering, the
+/// published gauges, and latency accounting. The mutable engine state
+/// lives on the lane thread ([`Session`]); this handle is what
+/// admission and the metrics renderers touch.
 pub struct SessionHandle {
     name: String,
-    /// Highest committed write ticket (assigned at admission).
-    tickets: AtomicU64,
-    /// Serializes ticket assignment + queue admission so ticket order
-    /// equals queue order.
-    admit: Mutex<()>,
-    /// Highest ticket whose lane job has completed.
-    published: Mutex<u64>,
-    published_cv: Condvar,
-    snapshot: RwLock<Option<Arc<ReadSnapshot>>>,
-    /// Per-session per-command latency histograms (lane and read workers
-    /// both record here).
+    /// Highest committed request id. Locked across id assignment and
+    /// queue admission so id order equals queue order.
+    request_seq: Mutex<u64>,
+    /// What the lane last published for other sessions' `metrics`
+    /// rows (`None` while no design is loaded).
+    gauges: Mutex<Option<SessionGauges>>,
+    /// Per-session per-command latency histograms.
     pub(crate) latency: Mutex<CommandStats>,
     /// Per-session per-stage duration histograms (`queue_wait`,
-    /// `ticket_wait`, `snapshot_age`, `execute`, `reply_write`) feeding
-    /// `mgba_server_stage_us{session,stage}`.
+    /// `execute`, `reply_write`) feeding the
+    /// `mgba_server_stage_us{session,stage}` family.
     pub(crate) stage_latency: Mutex<CommandStats>,
     /// Histogram of `whatif_batch` candidate counts (unit: candidates).
     pub(crate) whatif_sizes: Mutex<LatencyHist>,
     /// When the session was last addressed — the TTL eviction clock.
     last_active: Mutex<Instant>,
-    /// Admission-order request-id source (shared by lane and read
-    /// admissions; see [`SessionHandle::admit_lane`] /
-    /// [`SessionHandle::next_request_id`]).
-    request_seq: AtomicU64,
     /// Lane jobs admitted but not yet dequeued — the
     /// `mgba_server_write_queue_depth` gauge.
     pending_lane: AtomicUsize,
@@ -282,16 +204,12 @@ impl SessionHandle {
     fn new(name: &str) -> Self {
         Self {
             name: name.to_owned(),
-            tickets: AtomicU64::new(0),
-            admit: Mutex::new(()),
-            published: Mutex::new(0),
-            published_cv: Condvar::new(),
-            snapshot: RwLock::new(None),
+            request_seq: Mutex::new(0),
+            gauges: Mutex::new(None),
             latency: Mutex::new(CommandStats::default()),
             stage_latency: Mutex::new(CommandStats::default()),
             whatif_sizes: Mutex::new(LatencyHist::default()),
             last_active: Mutex::new(Instant::now()),
-            request_seq: AtomicU64::new(0),
             pending_lane: AtomicUsize::new(0),
             rebuilds: AtomicU64::new(0),
             durability: DurabilityFacts::default(),
@@ -303,14 +221,6 @@ impl SessionHandle {
     pub(crate) fn record_stage(&self, stage: &'static str, d: Duration) {
         let us = d.as_micros().min(u128::from(u64::MAX)) as u64;
         self.stage_latency.lock().unwrap().record(stage, us);
-    }
-
-    /// Assigns the next admission-order request id to a read admission.
-    /// Takes the same `admit` gate as [`SessionHandle::admit_lane`] so
-    /// read and write ids interleave exactly in admission order.
-    pub(crate) fn next_request_id(&self) -> u64 {
-        let _gate = self.admit.lock().unwrap();
-        self.request_seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Crash-isolated rebuilds of this session's lane state.
@@ -339,14 +249,9 @@ impl SessionHandle {
         &self.name
     }
 
-    /// The ticket a read admitted right now must wait for.
-    pub(crate) fn current_ticket(&self) -> u64 {
-        self.tickets.load(Ordering::SeqCst)
-    }
-
-    /// Admits one job to the writer lane with the next ticket. The
-    /// ticket is committed only when the queue accepts the job — on
-    /// `Full` it rolls back, so readers never wait on a rejected write.
+    /// Admits one job to the writer lane under the next request id. The
+    /// id is committed only when the queue accepts the job — on `Full`
+    /// it rolls back, so the next admitted request reuses it.
     // The Err variant hands the whole rejected job back: the caller
     // must recover its reply channel to answer the overload envelope.
     #[allow(clippy::result_large_err)]
@@ -358,78 +263,30 @@ impl SessionHandle {
         deadline_ms: Option<u64>,
         reply: mpsc::Sender<String>,
     ) -> Result<(), TrySendError<LaneJob>> {
-        let _gate = self.admit.lock().unwrap();
-        let ticket = self.tickets.load(Ordering::SeqCst) + 1;
-        let request_id = self.request_seq.load(Ordering::SeqCst) + 1;
-        let mut meta = meta;
-        meta.request_id = Some(request_id);
+        let mut seq = self.request_seq.lock().unwrap();
+        let request_id = *seq + 1;
         lane_tx.try_send(LaneJob {
-            meta,
+            meta: meta.with_request_id(request_id),
             cmd,
             deadline_ms,
-            ticket,
             reply,
             enqueued: Instant::now(),
         })?;
-        // Committed only on acceptance: a full-queue rejection rolls
-        // both the ticket and the request id back, keeping admission
-        // numbering identical across runs that hit transient overload.
-        self.tickets.store(ticket, Ordering::SeqCst);
-        self.request_seq.store(request_id, Ordering::SeqCst);
+        *seq = request_id;
         self.pending_lane.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
-    /// Marks `ticket` (and everything before it) complete and wakes
-    /// waiting readers.
-    pub(crate) fn publish(&self, ticket: u64) {
-        let mut p = self.published.lock().unwrap();
-        if ticket > *p {
-            *p = ticket;
-        }
-        self.published_cv.notify_all();
-        drop(p);
+    /// Replaces the published gauges (called by the lane after every
+    /// state change).
+    fn publish(&self, gauges: Option<SessionGauges>) {
+        *self.gauges.lock().unwrap() = gauges;
     }
 
-    /// True when every write admitted before `ticket` has completed —
-    /// the inline fast path executes immediately when this holds at
-    /// admission.
-    pub(crate) fn is_published(&self, ticket: u64) -> bool {
-        *self.published.lock().unwrap() >= ticket
-    }
-
-    /// Blocks until `ticket` is published. Returns `false` when
-    /// `deadline` (as `(enqueued, limit_ms)`) expires first.
-    pub(crate) fn wait_published(&self, ticket: u64, deadline: Option<(Instant, u64)>) -> bool {
-        let mut p = self.published.lock().unwrap();
-        loop {
-            if *p >= ticket {
-                return true;
-            }
-            match deadline {
-                Some((enqueued, limit_ms)) => {
-                    let limit = Duration::from_millis(limit_ms);
-                    let waited = enqueued.elapsed();
-                    if waited >= limit {
-                        return false;
-                    }
-                    let (guard, _timeout) =
-                        self.published_cv.wait_timeout(p, limit - waited).unwrap();
-                    p = guard;
-                }
-                None => p = self.published_cv.wait(p).unwrap(),
-            }
-        }
-    }
-
-    fn install_snapshot(&self, snap: Option<ReadSnapshot>) {
-        *self.snapshot.write().unwrap() = snap.map(Arc::new);
-    }
-
-    /// The currently published snapshot (`None` before the first
-    /// successful `load`).
-    pub fn snapshot(&self) -> Option<Arc<ReadSnapshot>> {
-        self.snapshot.read().unwrap().clone()
+    /// The gauges the lane last published (`None` while no design is
+    /// loaded).
+    pub(crate) fn published(&self) -> Option<SessionGauges> {
+        self.gauges.lock().unwrap().clone()
     }
 }
 
@@ -557,8 +414,7 @@ impl Registry {
     /// Resolves `name` to its session, creating it (and spawning its
     /// writer lane) on first use. Lazily evicts sessions whose idle time
     /// exceeds the configured TTL — dropping a session's queue sender
-    /// makes its lane drain and exit, and readers holding the old
-    /// handle's `Arc` finish safely against the published snapshot.
+    /// makes its lane drain the requests already admitted and exit.
     pub(crate) fn session(self: &Arc<Self>, name: &str) -> Result<SessionEntry, AdmitRejection> {
         let mut map = self.sessions.lock().unwrap();
         if self.closed.load(Ordering::SeqCst) {
@@ -592,8 +448,8 @@ impl Registry {
             .durable
             .store(self.durability.is_some(), Ordering::SeqCst);
         // Durable sessions rebuild from disk *before* the lane starts
-        // (and before this admission returns), so the first request —
-        // read or write — already observes the recovered state.
+        // (and before this admission returns), so the first request
+        // already observes the recovered state.
         let state = match &self.durability {
             Some(cfg) => Durability::open(cfg, &handle, &self.wal_counters),
             None => Lane::default(),
@@ -933,9 +789,7 @@ impl Durability {
         if let Some(d) = &lane.mirror {
             d.publish_facts(&lane.journal, handle, &lane.session);
         }
-        // Publish the recovered state for pool reads before the first
-        // ticket exists.
-        handle.install_snapshot(lane.session.read_snapshot());
+        handle.publish(lane.session.gauges());
         if recovered {
             obs::events::emit(
                 obs::events::Severity::Info,
@@ -1029,9 +883,8 @@ impl Durability {
 
 /// Renders the `health` result: protocol window, durability mode, and
 /// this session's durability facts. Deliberately free of timing fields
-/// (no uptime) so responses are byte-identical across runs, threads,
-/// and read-worker settings — `health` is pinned in the byte-identity
-/// matrix.
+/// (no uptime) so responses are byte-identical across runs and thread
+/// counts — `health` is pinned in the byte-identity matrix.
 pub(crate) fn render_health(handle: &SessionHandle) -> String {
     let f = &handle.durability;
     let mut w = JsonWriter::new();
@@ -1061,12 +914,11 @@ pub(crate) fn render_health(handle: &SessionHandle) -> String {
     w.finish()
 }
 
-/// The `server.handle` chaos hook, fired once per live request on
-/// either execution path (writer lane or read pool): `panic` unwinds
-/// exactly like a handler bug would, `error`/`nan` surface as a typed
-/// internal error. Journal replay never fires it. The `failpoint`
-/// command that arms it is itself unaffected — arming happens in its
-/// handler, after this check.
+/// The `server.handle` chaos hook, fired once per live request on the
+/// writer lane: `panic` unwinds exactly like a handler bug would,
+/// `error`/`nan` surface as a typed internal error. Journal replay
+/// never fires it. The `failpoint` command that arms it is itself
+/// unaffected — arming happens in its handler, after this check.
 fn chaos_hook() -> Result<(), MgbaError> {
     match faultinject::fire("server.handle") {
         Some(fault) => Err(MgbaError::Internal(format!(
@@ -1076,10 +928,10 @@ fn chaos_hook() -> Result<(), MgbaError> {
     }
 }
 
-/// The writer-lane loop: owns the lane state, executes jobs in ticket
-/// order, publishes snapshots, drains on shutdown. `lane` is what
-/// [`Registry::session`] built — recovered from disk when durable files
-/// existed.
+/// The writer-lane loop: owns the lane state, executes jobs in
+/// admission order, publishes gauges, drains on shutdown. `lane` is
+/// what [`Registry::session`] built — recovered from disk when durable
+/// files existed.
 pub(crate) fn lane_loop(
     rx: Receiver<LaneJob>,
     handle: Arc<SessionHandle>,
@@ -1105,8 +957,7 @@ pub(crate) fn lane_loop(
         }
     }
     // Drain-then-exit: serve everything admitted before (or racing with)
-    // the shutdown flag. Every admitted ticket MUST still publish, or
-    // readers waiting on it would hang until their deadline.
+    // the shutdown flag, so every admitted request is answered.
     while let Ok(job) = rx.recv_timeout(DRAIN_GRACE) {
         process_lane(job, &mut lane, &handle, &registry, &shared);
     }
@@ -1124,7 +975,6 @@ fn process_lane(
         meta,
         cmd,
         deadline_ms,
-        ticket,
         reply,
         enqueued,
     } = job;
@@ -1138,9 +988,6 @@ fn process_lane(
                 "deadline",
                 &format!("deadline of {limit} ms expired while queued"),
             ));
-            // A rejected ticket still publishes: reads behind it must
-            // not wait forever on work that will never run.
-            handle.publish(ticket);
             return false;
         }
     }
@@ -1156,7 +1003,6 @@ fn process_lane(
             "a WAL write failed; the session is read-only until restart \
              (reads still serve the in-memory state, flagged degraded)",
         ));
-        handle.publish(ticket);
         return false;
     }
     // Durability gate 2: with `--state-dir`, client-supplied
@@ -1170,7 +1016,6 @@ fn process_lane(
             shared.served.fetch_add(1, Ordering::SeqCst);
             obs::counter_add("server.rejected.path_escape", 1);
             let _ = reply.send(proto::error_envelope(&meta, "path_escape", &msg));
-            handle.publish(ticket);
             return false;
         }
     };
@@ -1197,9 +1042,6 @@ fn process_lane(
                 // session's handle is reachable.
                 Command::Stats => Ok(render_stats(&lane.session, handle, registry, shared)),
                 Command::Metrics => Ok(render_metrics(&lane.session, handle, registry, shared)),
-                // `health` serves the handle's durability facts —
-                // reachable here (funnel mode) and on the read pool,
-                // with identical bytes by construction.
                 Command::Health => Ok(render_health(handle)),
                 _ => {
                     lane.journal
@@ -1238,20 +1080,16 @@ fn process_lane(
     if obs::trace_enabled() {
         obs::trace::emit_complete(&format!("{name}/execute"), start, exec);
     }
-    // Slow-query ring: lane (non-read) commands only — pool reads
-    // complete out of admission order, so recording them would make
-    // `slowlog` bytes depend on `--read-workers`. `shutdown` is server
-    // control, not a session query: recording it would republish the
-    // snapshot under a pool `slowlog` read admitted before it. The
-    // threshold decides membership by wall clock, but entries carry no
-    // timing, keeping the rendered bytes deterministic (always, with
+    // Slow-query ring: non-read commands only, so the cheap queries
+    // that poll a session leave the ring to the work worth looking at.
+    // `shutdown` is server control, not a session query. The threshold
+    // decides membership by wall clock, but entries carry no timing,
+    // keeping the rendered bytes deterministic (always, with
     // `--slow-ms 0`).
-    let mut recorded_slow = false;
     let is_query = !cmd.is_read() && !matches!(cmd, Command::Shutdown);
     if let Some(limit) = registry.slow_ms.filter(|_| !panicked && is_query) {
         if exec >= Duration::from_millis(limit) {
             lane.session.note_slow(meta.request_id, name);
-            recorded_slow = true;
             obs::events::emit(
                 obs::events::Severity::Warn,
                 "server.slow_query",
@@ -1277,7 +1115,7 @@ fn process_lane(
     // acknowledged. A failed write (real or failpoint-injected) flips
     // the session read-only: the reply becomes a `durability_lost`
     // error, but the in-memory state — which already mutated, and which
-    // the journal holds — stays published for reads, honestly flagged
+    // the journal holds — keeps serving reads, honestly flagged
     // degraded.
     let mut durability_error: Option<String> = None;
     if result.is_ok() && cmd.is_state_changing() {
@@ -1291,6 +1129,17 @@ fn process_lane(
             }
         }
     }
+    // A state change (or a panic recovery, which also rewrites state)
+    // republishes this session's gauges before the reply goes out, so a
+    // client holding the reply sees its effect in any session's
+    // `metrics`. The `health` facts follow the same command.
+    if (result.is_ok() && cmd.is_state_changing()) || panicked {
+        handle.publish(lane.session.gauges());
+    }
+    handle
+        .durability
+        .degraded
+        .store(lane.session.is_degraded(), Ordering::SeqCst);
     let shutdown = matches!(cmd, Command::Shutdown) && result.is_ok();
     let envelope = if let Some(msg) = &durability_error {
         proto::error_envelope(&meta, "durability_lost", msg)
@@ -1301,145 +1150,7 @@ fn process_lane(
         }
     };
     let _ = reply.send(envelope);
-    // Publish AFTER the state settles: a successful state change (or a
-    // panic-recovery, which also rewrites state, or a slow-query ring
-    // append that split-mode `slowlog` reads must observe) refreshes
-    // the read snapshot first, then the ticket watermark releases any
-    // readers admitted behind this write.
-    if (result.is_ok() && cmd.is_state_changing()) || panicked || recorded_slow {
-        handle.install_snapshot(lane.session.read_snapshot());
-    }
-    // Keep the lock-free `health` facts in step with this ticket.
-    handle
-        .durability
-        .degraded
-        .store(lane.session.is_degraded(), Ordering::SeqCst);
-    handle.publish(ticket);
     shutdown
-}
-
-/// Executes one read-only command against a published snapshot. Shares
-/// the session handlers with the lane path, so responses are
-/// byte-identical across funnel and split modes.
-fn execute_read(snapshot: Option<&ReadSnapshot>, cmd: &Command) -> Result<String, MgbaError> {
-    if matches!(cmd, Command::Ping) {
-        return Ok(session::ping_result());
-    }
-    let snap =
-        snapshot.ok_or_else(|| MgbaError::Usage("no design loaded (send `load` first)".into()))?;
-    match cmd {
-        Command::Slack { endpoint, top } => {
-            session::read_slack(&snap.sta, endpoint.as_deref(), *top)
-        }
-        Command::Wns => Ok(session::read_summary(&snap.sta, true)),
-        Command::Tns => Ok(session::read_summary(&snap.sta, false)),
-        Command::PathQuery { endpoint, pba } => {
-            session::read_path(&snap.sta, endpoint.as_deref(), *pba)
-        }
-        Command::Lint => Ok(session::read_lint(&snap.sta)),
-        Command::Slowlog => Ok(session::render_slowlog(&snap.slowlog, snap.slow_dropped)),
-        Command::History => Ok(session::render_history(&snap.history, snap.history_evicted)),
-        other => Err(MgbaError::Internal(format!(
-            "`{}` is not a read command",
-            other.name()
-        ))),
-    }
-}
-
-/// Serves one read job end to end: wait for its ticket, execute against
-/// the snapshot, record latency, reply. Runs on a read worker or — for
-/// the already-published fast path — directly on the connection's
-/// reader thread (zero cross-thread handoffs).
-pub(crate) fn serve_read(job: ReadJob, shared: &Shared) {
-    let ReadJob {
-        meta,
-        cmd,
-        deadline_ms,
-        ticket,
-        handle,
-        reply,
-        enqueued,
-    } = job;
-    let deadline = deadline_ms.map(|limit| (enqueued, limit));
-    let expired = match deadline {
-        Some((at, limit)) => at.elapsed() > Duration::from_millis(limit),
-        None => false,
-    };
-    let name = cmd.name();
-    // Stage 2: how long the read waited for its write ticket to
-    // publish (≈0 on the inline fast path).
-    let wait_start = Instant::now();
-    if expired || !handle.wait_published(ticket, deadline) {
-        let limit = deadline_ms.unwrap_or(0);
-        shared.rejected_deadline.fetch_add(1, Ordering::SeqCst);
-        obs::counter_add("server.rejected.deadline", 1);
-        let _ = reply.send(proto::error_envelope(
-            &meta,
-            "deadline",
-            &format!("deadline of {limit} ms expired while queued"),
-        ));
-        return;
-    }
-    let ticket_wait = wait_start.elapsed();
-    handle.record_stage("ticket_wait", ticket_wait);
-    if obs::trace_enabled() {
-        obs::trace::emit_complete(&format!("{name}/ticket_wait"), wait_start, ticket_wait);
-    }
-    let snap = handle.snapshot();
-    // Stage 3: how stale the served snapshot was at execution time.
-    if let Some(s) = snap.as_deref() {
-        handle.record_stage("snapshot_age", s.installed_at.elapsed());
-    }
-    let start = Instant::now();
-    // Crash isolation, read flavor: the snapshot is immutable and the
-    // session state lives on the lane, so a panicking read corrupts
-    // nothing — no recovery needed, just a typed error.
-    let caught = {
-        let _span = obs::span(name);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Same chaos hook as the lane path: reads are fault-injectable too.
-            chaos_hook()?;
-            match &cmd {
-                // `health` reads the handle's durability facts, not the
-                // snapshot — it answers before any design is loaded.
-                Command::Health => Ok(render_health(&handle)),
-                _ => execute_read(snap.as_deref(), &cmd),
-            }
-        }))
-    };
-    let result = match caught {
-        Ok(result) => result,
-        Err(payload) => {
-            shared.panicked.fetch_add(1, Ordering::SeqCst);
-            obs::counter_add("server.requests.panicked", 1);
-            let msg = panic_message(payload.as_ref());
-            Err(MgbaError::Internal(format!(
-                "request `{name}` panicked: {msg}; read was isolated from session state"
-            )))
-        }
-    };
-    let exec = start.elapsed();
-    let us = exec.as_micros().min(u128::from(u64::MAX)) as u64;
-    handle.latency.lock().unwrap().record(name, us);
-    handle.record_stage("execute", exec);
-    if obs::trace_enabled() {
-        obs::trace::emit_complete(&format!("{name}/execute"), start, exec);
-    }
-    obs::observe(&format!("server.latency_us.{name}"), us as f64);
-    obs::counter_add(&format!("server.requests.{name}"), 1);
-    shared.served.fetch_add(1, Ordering::SeqCst);
-    // No snapshot yet (nothing loaded): fall back to the handle's
-    // degraded fact, so a durability-lost session is flagged on the
-    // read path exactly as the lane would flag it.
-    let degraded = snap
-        .as_deref()
-        .map(|s| s.degraded)
-        .unwrap_or_else(|| handle.durability.degraded.load(Ordering::SeqCst));
-    let envelope = match &result {
-        Ok(json) => proto::ok_envelope(&meta, degraded, json),
-        Err(e) => proto::mgba_error_envelope(&meta, e),
-    };
-    let _ = reply.send(envelope);
 }
 
 /// Renders the `hello` result: negotiated protocol plus the resident
@@ -1485,8 +1196,6 @@ pub(crate) fn render_stats(
     w.begin_obj();
     w.key("queue_depth");
     w.u64(info.queue_depth as u64);
-    w.key("read_workers");
-    w.u64(info.read_workers as u64);
     w.key("sessions");
     w.u64(rows.len() as u64);
     w.key("served");
@@ -1505,8 +1214,6 @@ pub(crate) fn render_stats(
     w.str(BUILD_VERSION);
     w.key("commit");
     w.str(BUILD_COMMIT);
-    w.key("read_backlog");
-    w.u64(shared.pending_reads.load(Ordering::SeqCst) as u64);
     w.end_obj();
     w.key("session");
     w.str(handle.name());
@@ -1528,9 +1235,105 @@ pub(crate) fn render_stats(
     w.finish()
 }
 
+/// One `{session}`-labeled family of the `metrics` exposition: name,
+/// help, whether it is a counter, and the sample a session's gauges
+/// give it (`None`: no sample for that session).
+type SessionFamily = (
+    &'static str,
+    &'static str,
+    bool,
+    fn(&SessionGauges) -> Option<f64>,
+);
+
+/// The per-session families, in exposition order.
+const SESSION_FAMILIES: [SessionFamily; 13] = [
+    (
+        "mgba_server_recalibrate_warm_total",
+        "incremental warm-start recalibrations (dirty rows patched)",
+        true,
+        |g| Some(g.recalib_warm as f64),
+    ),
+    (
+        "mgba_server_recalibrate_cold_total",
+        "full cold recalibrations (`full:true` or warm cache unavailable)",
+        true,
+        |g| Some(g.recalib_cold as f64),
+    ),
+    ("mgba_engine_wns", "worst negative slack, ps", false, |g| {
+        Some(g.wns)
+    }),
+    ("mgba_engine_tns", "total negative slack, ps", false, |g| {
+        Some(g.tns)
+    }),
+    (
+        "mgba_engine_calibrated",
+        "1 when mGBA weights are fitted",
+        false,
+        |g| Some(if g.calibrated { 1.0 } else { 0.0 }),
+    ),
+    (
+        "mgba_engine_full_updates_total",
+        "full timing propagations",
+        true,
+        |g| Some(g.full_updates as f64),
+    ),
+    (
+        "mgba_engine_incremental_updates_total",
+        "incremental timing propagations",
+        true,
+        |g| Some(g.incremental_updates as f64),
+    ),
+    (
+        "mgba_engine_cells_propagated_total",
+        "cells touched by timing propagation",
+        true,
+        |g| Some(g.cells_propagated as f64),
+    ),
+    // Calibration drift: sessions with at least one fit, describing
+    // the most recent one.
+    (
+        "mgba_calibration_drift_mse",
+        "mean squared mGBA-vs-PBA slack error after the latest fit, ps^2",
+        false,
+        |g| g.latest_fit.as_ref().map(|r| r.mse_after),
+    ),
+    (
+        "mgba_calibration_drift_rms_ps",
+        "root-mean-squared mGBA-vs-PBA slack error after the latest fit, ps",
+        false,
+        |g| g.latest_fit.as_ref().map(|r| r.mse_after.max(0.0).sqrt()),
+    ),
+    (
+        "mgba_calibration_drift_weight_sparsity_pct",
+        "share of gates fitted to exactly zero weight, percent",
+        false,
+        |g| {
+            g.latest_fit.as_ref().map(|r| {
+                if r.weights_total == 0 {
+                    0.0
+                } else {
+                    100.0 * (r.weights_total - r.weights_nonzero) as f64 / r.weights_total as f64
+                }
+            })
+        },
+    ),
+    (
+        "mgba_calibration_drift_commits_since_fit",
+        "commits the latest fit absorbed since the previous fit",
+        false,
+        |g| g.latest_fit.as_ref().map(|r| r.commits_since_fit as f64),
+    ),
+    (
+        "mgba_calibration_drift_records",
+        "drift records resident in the per-session history ring",
+        false,
+        |g| g.latest_fit.as_ref().map(|_| g.history_len as f64),
+    ),
+];
+
 /// Renders the full Prometheus exposition: server counters, per-session
-/// engine gauges (`{session="…"}` labels), the merged per-command
-/// latency family (keeping the original
+/// engine, recalibration and drift figures (`{session="…"}` labels),
+/// the merged per-command latency family (keeping the original
 /// `mgba_server_command_latency_us{cmd}` series names valid), a
 /// per-session latency family, and whatever the `obs` registry holds
 /// (empty unless `--profile` is on). Like `stats`, the output is
@@ -1552,11 +1355,6 @@ fn exposition(
         info.queue_depth as f64,
     );
     p.gauge(
-        "mgba_server_read_workers",
-        "configured read-pool size (0 = writer-lane funnel)",
-        info.read_workers as f64,
-    );
-    p.gauge(
         "mgba_server_sessions",
         "resident sessions",
         rows.len() as f64,
@@ -1573,11 +1371,6 @@ fn exposition(
         "mgba_build_info",
         &[("version", BUILD_VERSION), ("commit", BUILD_COMMIT)],
         1.0,
-    );
-    p.gauge(
-        "mgba_server_read_backlog",
-        "reads admitted to the pool but not yet picked up",
-        shared.pending_reads.load(Ordering::SeqCst) as f64,
     );
     p.gauge_family(
         "mgba_server_write_queue_depth",
@@ -1671,173 +1464,51 @@ fn exposition(
         &[("severity", "warning")],
         lint_warnings as f64,
     );
-    // Per-session degraded flags: live for the session serving this
-    // request, published-snapshot state for the others.
+    // Per-session figures: live for the session serving this request,
+    // as last published by their own lanes for the others.
+    let figures: Vec<(&str, bool, Option<SessionGauges>)> = rows
+        .iter()
+        .map(|(name, h)| {
+            if name == handle.name() {
+                (name.as_str(), session.is_degraded(), session.gauges())
+            } else {
+                let g = h.published();
+                (name.as_str(), g.as_ref().is_some_and(|g| g.degraded), g)
+            }
+        })
+        .collect();
     p.gauge_family(
         "mgba_session_degraded",
         "1 while serving fault-recovered state without calibration",
     );
-    for (name, h) in &rows {
-        let degraded = if name == handle.name() {
-            session.is_degraded()
-        } else {
-            h.snapshot().map(|s| s.degraded).unwrap_or(false)
-        };
+    for (name, degraded, _) in &figures {
         p.sample_labels(
             "mgba_session_degraded",
             &[("session", name)],
-            if degraded { 1.0 } else { 0.0 },
+            if *degraded { 1.0 } else { 0.0 },
         );
     }
-    // Recalibration counters describe the lane serving this request
-    // (other lanes' counts live in their own lane state).
-    let (warm, cold) = session.recalib_counts();
-    p.counter(
-        "mgba_server_recalibrate_warm_total",
-        "incremental warm-start recalibrations (dirty rows patched)",
-        warm,
-    );
-    p.counter(
-        "mgba_server_recalibrate_cold_total",
-        "full cold recalibrations (`full:true` or warm cache unavailable)",
-        cold,
-    );
-    // Engine gauges, one labeled sample per loaded session.
-    let gauges: Vec<(String, session::EngineGauges)> = rows
+    let loaded: Vec<(&str, &SessionGauges)> = figures
         .iter()
-        .filter_map(|(name, h)| {
-            let g = if name == handle.name() {
-                session.engine_gauges()
-            } else {
-                h.snapshot().map(|s| session::snapshot_engine_gauges(&s))
-            };
-            g.map(|g| (name.clone(), g))
-        })
+        .filter_map(|(name, _, g)| Some((*name, g.as_ref()?)))
         .collect();
-    if !gauges.is_empty() {
-        p.gauge_family("mgba_engine_wns", "worst negative slack, ps");
-        for (name, g) in &gauges {
-            p.sample_labels("mgba_engine_wns", &[("session", name)], g.wns);
+    // One labeled sample per session that has a value; a family with
+    // none is left out.
+    for (family, help, counter, value) in SESSION_FAMILIES {
+        let samples: Vec<(&str, f64)> = loaded
+            .iter()
+            .filter_map(|(name, g)| Some((*name, value(g)?)))
+            .collect();
+        if samples.is_empty() {
+            continue;
         }
-        p.gauge_family("mgba_engine_tns", "total negative slack, ps");
-        for (name, g) in &gauges {
-            p.sample_labels("mgba_engine_tns", &[("session", name)], g.tns);
+        if counter {
+            p.counter_family(family, help);
+        } else {
+            p.gauge_family(family, help);
         }
-        p.gauge_family("mgba_engine_calibrated", "1 when mGBA weights are fitted");
-        for (name, g) in &gauges {
-            p.sample_labels(
-                "mgba_engine_calibrated",
-                &[("session", name)],
-                if g.calibrated { 1.0 } else { 0.0 },
-            );
-        }
-        p.counter_family("mgba_engine_full_updates_total", "full timing propagations");
-        for (name, g) in &gauges {
-            p.sample_labels(
-                "mgba_engine_full_updates_total",
-                &[("session", name)],
-                g.full_updates as f64,
-            );
-        }
-        p.counter_family(
-            "mgba_engine_incremental_updates_total",
-            "incremental timing propagations",
-        );
-        for (name, g) in &gauges {
-            p.sample_labels(
-                "mgba_engine_incremental_updates_total",
-                &[("session", name)],
-                g.incremental_updates as f64,
-            );
-        }
-        p.counter_family(
-            "mgba_engine_cells_propagated_total",
-            "cells touched by timing propagation",
-        );
-        for (name, g) in &gauges {
-            p.sample_labels(
-                "mgba_engine_cells_propagated_total",
-                &[("session", name)],
-                g.cells_propagated as f64,
-            );
-        }
-    }
-    // Calibration-drift telemetry: one labeled sample per session that
-    // has at least one drift record, describing the most recent fit.
-    let drift: Vec<(String, session::CalibrationRecord, usize)> = rows
-        .iter()
-        .filter_map(|(name, h)| {
-            let (record, len) = if name == handle.name() {
-                (session.latest_history().cloned(), session.history_len())
-            } else {
-                match h.snapshot() {
-                    Some(s) => (s.history.last().cloned(), s.history.len()),
-                    None => (None, 0),
-                }
-            };
-            record.map(|r| (name.clone(), r, len))
-        })
-        .collect();
-    if !drift.is_empty() {
-        p.gauge_family(
-            "mgba_calibration_drift_mse",
-            "mean squared mGBA-vs-PBA slack error after the latest fit, ps^2",
-        );
-        for (name, r, _) in &drift {
-            p.sample_labels(
-                "mgba_calibration_drift_mse",
-                &[("session", name)],
-                r.mse_after,
-            );
-        }
-        p.gauge_family(
-            "mgba_calibration_drift_rms_ps",
-            "root-mean-squared mGBA-vs-PBA slack error after the latest fit, ps",
-        );
-        for (name, r, _) in &drift {
-            p.sample_labels(
-                "mgba_calibration_drift_rms_ps",
-                &[("session", name)],
-                r.mse_after.max(0.0).sqrt(),
-            );
-        }
-        p.gauge_family(
-            "mgba_calibration_drift_weight_sparsity_pct",
-            "share of gates fitted to exactly zero weight, percent",
-        );
-        for (name, r, _) in &drift {
-            let pct = if r.weights_total == 0 {
-                0.0
-            } else {
-                100.0 * (r.weights_total - r.weights_nonzero) as f64 / r.weights_total as f64
-            };
-            p.sample_labels(
-                "mgba_calibration_drift_weight_sparsity_pct",
-                &[("session", name)],
-                pct,
-            );
-        }
-        p.gauge_family(
-            "mgba_calibration_drift_commits_since_fit",
-            "commits the latest fit absorbed since the previous fit",
-        );
-        for (name, r, _) in &drift {
-            p.sample_labels(
-                "mgba_calibration_drift_commits_since_fit",
-                &[("session", name)],
-                r.commits_since_fit as f64,
-            );
-        }
-        p.gauge_family(
-            "mgba_calibration_drift_records",
-            "drift records resident in the per-session history ring",
-        );
-        for (name, _, len) in &drift {
-            p.sample_labels(
-                "mgba_calibration_drift_records",
-                &[("session", name)],
-                *len as f64,
-            );
+        for (name, v) in samples {
+            p.sample_labels(family, &[("session", name)], v);
         }
     }
     // Merged latency view under the original family name, so dashboards
@@ -1876,8 +1547,8 @@ fn exposition(
             );
         }
     }
-    // Per-session request-stage durations (queue wait, ticket wait,
-    // snapshot age at execution, execute, reply write).
+    // Per-session request-stage durations (queue wait, execute, reply
+    // write).
     p.histogram_family(
         "mgba_server_stage_us",
         "per-session request-stage durations, microseconds",
@@ -1938,7 +1609,7 @@ mod tests {
     use crate::json::{parse, Value};
 
     fn registry_with(names: &[&str]) -> (Arc<Registry>, Vec<SessionEntry>) {
-        let shared = Arc::new(Shared::new(8, 2));
+        let shared = Arc::new(Shared::new(8));
         let registry = Registry::new(8, shared, None, None, None);
         let entries = names
             .iter()
@@ -1955,7 +1626,7 @@ mod tests {
 
     #[test]
     fn sessions_are_created_lazily_and_capped() {
-        let shared = Arc::new(Shared::new(4, 0));
+        let shared = Arc::new(Shared::new(4));
         let registry = Registry::new(4, shared, None, None, None);
         assert!(registry.session_names().is_empty());
         for i in 0..MAX_SESSIONS {
@@ -1985,17 +1656,18 @@ mod tests {
             .handle
             .admit_lane(&entry.lane_tx, meta, Command::Ping, None, reply_tx)
             .unwrap();
-        assert_eq!(entry.handle.current_ticket(), 1);
-        // The lane publishes the ticket once the job completes.
+        // The accepted admission committed request id 1, and the lane
+        // answers under it.
+        assert_eq!(*entry.handle.request_seq.lock().unwrap(), 1);
         let resp = reply_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(resp.contains("\"request_id\":1,"), "{resp}");
         assert!(resp.contains("\"pong\":true"), "{resp}");
-        assert!(entry.handle.wait_published(1, Some((Instant::now(), 1000))));
         close(&registry);
     }
 
     #[test]
     fn full_lane_queue_rolls_the_ticket_back() {
-        let shared = Arc::new(Shared::new(1, 0));
+        let shared = Arc::new(Shared::new(1));
         let registry = Registry::new(1, Arc::clone(&shared), None, None, None);
         let entry = registry.session("q").map_err(|_| ()).unwrap();
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -2030,10 +1702,9 @@ mod tests {
             }
         }
         assert!(overflowed, "depth-1 queue must overflow");
-        // The rejected job must NOT have consumed a ticket or a request
-        // id: both counters equal the number of accepted admissions.
-        assert_eq!(entry.handle.current_ticket(), admitted);
-        assert_eq!(entry.handle.next_request_id(), admitted + 1);
+        // The rejected job must NOT have consumed a request id: the
+        // counter equals the number of accepted admissions.
+        assert_eq!(*entry.handle.request_seq.lock().unwrap(), admitted);
         drop(reply_tx);
         for _ in 0..admitted {
             let _ = reply_rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -2043,93 +1714,42 @@ mod tests {
 
     #[test]
     fn snapshot_publishes_after_load_and_reads_match_lane_bytes() {
+        // The lane publishes the session's gauges once `load` settles;
+        // their WNS is the figure the lane serves to a `wns` read.
         let (registry, entries) = registry_with(&["r"]);
         let entry = &entries[0];
-        assert!(entry.handle.snapshot().is_none());
+        assert!(entry.handle.published().is_none());
         let (reply_tx, reply_rx) = mpsc::channel();
-        entry
-            .handle
-            .admit_lane(
-                &entry.lane_tx,
-                EnvMeta::v2(Some(1), "r"),
+        for (id, cmd) in [
+            (
+                1,
                 Command::Load {
                     spec: "small:7".into(),
                     period: None,
                 },
-                None,
-                reply_tx.clone(),
-            )
-            .unwrap();
-        entry
-            .handle
-            .admit_lane(
-                &entry.lane_tx,
-                EnvMeta::v2(Some(2), "r"),
-                Command::Wns,
-                None,
-                reply_tx.clone(),
-            )
-            .unwrap();
+            ),
+            (2, Command::Wns),
+        ] {
+            entry
+                .handle
+                .admit_lane(
+                    &entry.lane_tx,
+                    EnvMeta::v2(Some(id), "r"),
+                    cmd,
+                    None,
+                    reply_tx.clone(),
+                )
+                .unwrap();
+        }
         let load_resp = reply_rx.recv_timeout(Duration::from_secs(30)).unwrap();
         assert!(load_resp.contains("\"ok\":true"), "{load_resp}");
         let lane_wns = reply_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        // Snapshot is published; a read against it produces the same
-        // result bytes the lane just served.
-        assert!(entry.handle.wait_published(2, Some((Instant::now(), 5000))));
-        let snap = entry.handle.snapshot().expect("published after load");
-        let read = execute_read(Some(&snap), &Command::Wns).unwrap();
-        // The lane stamped the second admission with request_id 2.
-        let expected =
-            proto::ok_envelope(&EnvMeta::v2(Some(2), "r").with_request_id(2), false, &read);
-        assert_eq!(lane_wns, expected);
-        close(&registry);
-    }
-
-    #[test]
-    fn serve_read_before_load_is_a_usage_error() {
-        let (registry, entries) = registry_with(&["e"]);
-        let entry = &entries[0];
-        let (reply_tx, reply_rx) = mpsc::channel();
-        serve_read(
-            ReadJob {
-                meta: EnvMeta::v2(Some(5), "e"),
-                cmd: Command::Wns,
-                deadline_ms: None,
-                ticket: 0,
-                handle: Arc::clone(&entry.handle),
-                reply: reply_tx,
-                enqueued: Instant::now(),
-            },
-            &registry.shared,
-        );
-        let resp = reply_rx.recv().unwrap();
-        assert!(resp.contains("\"code\":\"usage\""), "{resp}");
-        assert!(resp.contains("no design loaded"), "{resp}");
-        close(&registry);
-    }
-
-    #[test]
-    fn serve_read_rejects_on_unpublished_ticket_deadline() {
-        let (registry, entries) = registry_with(&["d"]);
-        let entry = &entries[0];
-        let (reply_tx, reply_rx) = mpsc::channel();
-        // Ticket 7 never publishes: the read must give up at its
-        // deadline instead of hanging.
-        serve_read(
-            ReadJob {
-                meta: EnvMeta::v2(Some(9), "d"),
-                cmd: Command::Ping,
-                deadline_ms: Some(20),
-                ticket: 7,
-                handle: Arc::clone(&entry.handle),
-                reply: reply_tx,
-                enqueued: Instant::now(),
-            },
-            &registry.shared,
-        );
-        let resp = reply_rx.recv().unwrap();
-        assert!(resp.contains("\"code\":\"deadline\""), "{resp}");
-        assert_eq!(registry.shared.rejected_deadline.load(Ordering::SeqCst), 1);
+        let published = entry.handle.published().expect("published after load");
+        assert!(!published.calibrated && !published.degraded);
+        let mut w = JsonWriter::new();
+        w.f64(published.wns);
+        let wns = w.finish();
+        assert!(lane_wns.contains(&format!("\"wns\":{wns},")), "{lane_wns}");
         close(&registry);
     }
 
@@ -2181,7 +1801,6 @@ mod tests {
         .unwrap();
         let server = st.get("server").unwrap();
         assert_eq!(server.get("sessions").and_then(Value::as_u64), Some(2));
-        assert_eq!(server.get("read_workers").and_then(Value::as_u64), Some(2));
         assert_eq!(st.get("session").and_then(Value::as_str), Some("alpha"));
         // Own-session commands vs the merged view.
         let own = st.get("commands").unwrap();
@@ -2208,7 +1827,6 @@ mod tests {
         let text = m.get("exposition").and_then(Value::as_str).unwrap();
         obs::prom::validate(text).expect("conformant exposition");
         assert!(text.contains("mgba_server_sessions 2.0"), "{text}");
-        assert!(text.contains("mgba_server_read_workers 2.0"), "{text}");
         // Original series names stay valid (merged across sessions)...
         assert!(
             text.contains("mgba_server_command_latency_us_count{cmd=\"wns\"} 2"),
@@ -2226,7 +1844,8 @@ mod tests {
             "{text}"
         );
         // Engine gauges are labeled with the serving session's name
-        // (alpha is live-loaded; beta has no snapshot and no sample).
+        // (alpha is live-loaded; beta published nothing and has no
+        // sample).
         assert!(
             text.contains("mgba_engine_wns{session=\"alpha\"}"),
             "{text}"

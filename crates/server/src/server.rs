@@ -1,48 +1,36 @@
-//! The daemon: bounded admission, per-session writer lanes, an optional
-//! shared read pool, TCP and stdio front-ends.
+//! The daemon: bounded admission, per-session writer lanes, TCP and
+//! stdio front-ends.
 //!
 //! # Threading model
 //!
 //! The server hosts many named sessions (see [`crate::registry`]). Each
-//! session's mutating commands funnel through its own **writer lane** —
-//! one thread that owns the session state and executes jobs strictly in
-//! admission order. Read-only queries are served lock-free from the
-//! session's published [`registry::ReadSnapshot`] by a pool of
-//! `read_workers` threads (or inline on the connection's reader thread
-//! when the snapshot is already current). With `read_workers = 0` — the
-//! default — every command funnels through the lane, which is exactly
-//! the original single-worker behavior.
-//!
-//! Determinism survives the concurrency: write tickets order every read
-//! after the writes admitted before it, so responses per session depend
+//! session's commands, reads included, funnel through its own **writer
+//! lane** — one thread that owns the session state and executes jobs
+//! strictly in admission order. Responses per session therefore depend
 //! only on that session's request sequence, never on connection
-//! interleaving, the `--threads` setting, or the read-pool size (the
-//! engine's parallel kernels are themselves bit-identical across thread
-//! counts).
+//! interleaving or the `--threads` setting (the engine's parallel
+//! kernels are themselves bit-identical across thread counts).
 //!
 //! Each TCP connection gets a reader thread (parse + admit) and a
 //! writer thread that emits responses **in admission order**: admission
 //! enqueues a per-request reply slot, and the writer drains slots
-//! first-in-first-out no matter which thread produced each reply.
+//! first-in-first-out no matter which lane produced each reply.
 //!
 //! # Backpressure
 //!
 //! Lane admission goes through a bounded [`mpsc::sync_channel`]. When
 //! the queue is full the reader does **not** block — it immediately
-//! answers with an `"overload"` error envelope. Pool reads have their
-//! own (deeper) backlog cap. A saturated server therefore stays
-//! responsive: clients always get an answer, just sometimes "try
-//! later".
+//! answers with an `"overload"` error envelope. A saturated server
+//! therefore stays responsive: clients always get an answer, just
+//! sometimes "try later".
 //!
 //! # Deadlines
 //!
 //! `deadline_ms` (per request, or `--deadline-ms` server default) is
-//! checked when a lane *dequeues* the request (and when a read worker
-//! picks a read up, or would have to wait past it for a write ticket):
-//! work that already missed its deadline while queued is rejected with
-//! a `"deadline"` envelope instead of being executed. Deadlines are
-//! admission control, not preemption — a request that starts executing
-//! runs to completion.
+//! checked when a lane *dequeues* the request: work that already missed
+//! its deadline while queued is rejected with a `"deadline"` envelope
+//! instead of being executed. Deadlines are admission control, not
+//! preemption — a request that starts executing runs to completion.
 //!
 //! # Shutdown
 //!
@@ -52,23 +40,18 @@
 //! within one poll interval and `run` returns.
 
 use crate::proto::{self, Command};
-use crate::registry::{self, AdmitRejection, ReadJob, Registry, SessionHandle, Shared};
+use crate::registry::{self, AdmitRejection, Registry, SessionHandle, Shared};
 use mgba::MgbaError;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// How often the accept loop re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// How often an idle read worker re-checks the shutdown flag, so the
-/// pool can be joined even while a lingering connection thread still
-/// holds a clone of its queue sender.
-const POOL_POLL: Duration = Duration::from_millis(50);
 
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
@@ -78,21 +61,17 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Default per-request deadline applied when a request carries none.
     pub default_deadline_ms: Option<u64>,
-    /// Read-pool size. `0` (the default) disables the pool and funnels
-    /// every command — reads included — through the writer lane,
-    /// reproducing the original single-worker execution exactly.
-    pub read_workers: usize,
     /// Evict sessions idle longer than this many seconds (`None` or
     /// `Some(0)` = never). Eviction is lazy — checked when the next
     /// admission resolves a session — and releases the lane thread and
-    /// resident engine clone; clients can also evict explicitly with
-    /// the `close_session` command.
+    /// resident engine; clients can also evict explicitly with the
+    /// `close_session` command.
     pub session_ttl_secs: Option<u64>,
     /// Slow-query threshold in milliseconds (`--slow-ms`). Lane commands
     /// whose execution takes at least this long are recorded in the
     /// per-session slow-query ring served by the `slowlog` command.
     /// `None` (the default) disables recording; `Some(0)` records every
-    /// non-read lane command, which is the deterministic test mode.
+    /// non-read command, which is the deterministic test mode.
     pub slow_ms: Option<u64>,
     /// Durable session state (`--state-dir DIR`): every session gets a
     /// write-ahead log plus periodic checkpoints under `DIR`, and the
@@ -109,7 +88,6 @@ impl Default for ServerConfig {
         Self {
             queue_depth: 64,
             default_deadline_ms: None,
-            read_workers: 0,
             session_ttl_secs: None,
             slow_ms: None,
             state_dir: None,
@@ -138,61 +116,12 @@ impl ServerConfig {
 }
 
 /// Everything admission needs, cloned per connection: the session
-/// registry, shared counters, and the read-pool sender (when enabled).
+/// registry and the shared counters.
 #[derive(Clone)]
 struct Gate {
     registry: Arc<Registry>,
     shared: Arc<Shared>,
-    pool_tx: Option<mpsc::Sender<ReadJob>>,
     default_deadline_ms: Option<u64>,
-}
-
-/// Spawns the shared read pool: N workers draining one queue. Returns
-/// `(None, [])` when the pool is disabled.
-fn spawn_read_pool(shared: &Arc<Shared>) -> (Option<mpsc::Sender<ReadJob>>, Vec<JoinHandle<()>>) {
-    if shared.read_workers == 0 {
-        return (None, Vec::new());
-    }
-    let (tx, rx) = mpsc::channel::<ReadJob>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers = (0..shared.read_workers)
-        .map(|i| {
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(shared);
-            thread::Builder::new()
-                .name(format!("mgba-read-{i}"))
-                .spawn(move || {
-                    loop {
-                        // Take the next job with the lock released before
-                        // serving, so workers pick up in parallel. The
-                        // timeout keeps the worker joinable at shutdown
-                        // even while a sender clone is still alive.
-                        let job = rx.lock().unwrap().recv_timeout(POOL_POLL);
-                        match job {
-                            Ok(job) => {
-                                shared.pending_reads.fetch_sub(1, Ordering::SeqCst);
-                                registry::serve_read(job, &shared);
-                            }
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                if shared.shutting_down.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    // Drain reads admitted before the flag flipped: every
-                    // lane publishes its tickets before exiting, so these
-                    // answer instead of vanishing.
-                    while let Ok(job) = rx.lock().unwrap().try_recv() {
-                        shared.pending_reads.fetch_sub(1, Ordering::SeqCst);
-                        registry::serve_read(job, &shared);
-                    }
-                })
-                .expect("spawn read worker")
-        })
-        .collect();
-    (Some(tx), workers)
 }
 
 /// A reply slot: the receiver the stream's writer drains next, plus the
@@ -208,8 +137,8 @@ type ReplySlot = (Receiver<String>, Option<Arc<SessionHandle>>);
 /// Response ordering: every line — served or rejected — enqueues exactly
 /// one reply slot on `slot_tx`, in line order (this loop is sequential),
 /// and the stream's writer drains slots in that order. Responses
-/// therefore come back in admission order even when reads execute on
-/// pool threads.
+/// therefore come back in admission order even when the requests of
+/// one connection execute on several sessions' lanes.
 fn serve_lines(reader: impl BufRead, slot_tx: &mpsc::Sender<ReplySlot>, gate: &Gate) {
     for line in reader.lines() {
         let Ok(line) = line else { break };
@@ -313,55 +242,6 @@ fn serve_lines(reader: impl BufRead, slot_tx: &mpsc::Sender<ReplySlot>, gate: &G
         {
             break;
         }
-        // Read split: with the pool enabled, read-only queries never
-        // touch the writer lane.
-        if let (Some(pool_tx), true) = (gate.pool_tx.as_ref(), request.cmd.is_read()) {
-            let ticket = entry.handle.current_ticket();
-            let mut job = ReadJob {
-                meta,
-                cmd: request.cmd,
-                deadline_ms: request.deadline_ms,
-                ticket,
-                handle: Arc::clone(&entry.handle),
-                reply: reply_tx,
-                enqueued: Instant::now(),
-            };
-            if job.handle.is_published(ticket) {
-                // Fast path: every prior write is already published, so
-                // the snapshot is current — execute right here, zero
-                // cross-thread handoffs.
-                job.meta.request_id = Some(entry.handle.next_request_id());
-                registry::serve_read(job, &gate.shared);
-            } else if gate.shared.pending_reads.load(Ordering::SeqCst)
-                >= gate.shared.read_backlog_cap()
-            {
-                // Rejected before admission: consumes no request id,
-                // mirroring the lane's rollback on a full queue.
-                gate.shared.rejected_overload.fetch_add(1, Ordering::SeqCst);
-                obs::counter_add("server.rejected.overload", 1);
-                let _ = job.reply.send(proto::error_envelope(
-                    &job.meta,
-                    "overload",
-                    &format!(
-                        "read backlog full ({} deep); retry later",
-                        gate.shared.read_backlog_cap()
-                    ),
-                ));
-            } else {
-                job.meta.request_id = Some(entry.handle.next_request_id());
-                gate.shared.pending_reads.fetch_add(1, Ordering::SeqCst);
-                if let Err(mpsc::SendError(mut job)) = pool_tx.send(job) {
-                    gate.shared.pending_reads.fetch_sub(1, Ordering::SeqCst);
-                    job.meta.request_id = None;
-                    let _ = job.reply.send(proto::error_envelope(
-                        &job.meta,
-                        "shutdown",
-                        "server is draining",
-                    ));
-                }
-            }
-            continue;
-        }
         let is_shutdown = matches!(request.cmd, Command::Shutdown);
         match entry.handle.admit_lane(
             &entry.lane_tx,
@@ -405,6 +285,31 @@ fn serve_lines(reader: impl BufRead, slot_tx: &mpsc::Sender<ReplySlot>, gate: &G
     }
 }
 
+/// Writes one reply line per slot, in slot order, until the slots run
+/// out or the sink fails, recording each write as its session's
+/// `reply_write` stage.
+fn write_replies(w: &mut impl Write, slots: Receiver<ReplySlot>) {
+    for (slot, handle) in slots {
+        // A dropped reply sender (job discarded at teardown) just skips
+        // the slot; admitted-and-served replies always arrive.
+        let Ok(line) = slot.recv() else { continue };
+        let start = Instant::now();
+        if w.write_all(line.as_bytes()).is_err()
+            || w.write_all(b"\n").is_err()
+            || w.flush().is_err()
+        {
+            break;
+        }
+        if let Some(handle) = &handle {
+            let d = start.elapsed();
+            handle.record_stage("reply_write", d);
+            if obs::trace_enabled() {
+                obs::trace::emit_complete("reply_write", start, d);
+            }
+        }
+    }
+}
+
 /// One TCP connection: a reader (this thread) plus a writer thread that
 /// drains reply slots in admission order.
 fn connection(stream: TcpStream, gate: Gate) {
@@ -412,28 +317,7 @@ fn connection(stream: TcpStream, gate: Gate) {
         return;
     };
     let (slot_tx, slot_rx) = mpsc::channel::<ReplySlot>();
-    let writer = thread::spawn(move || {
-        let mut w = BufWriter::new(write_half);
-        for (slot, handle) in slot_rx {
-            // A dropped reply sender (job discarded at teardown) just
-            // skips the slot; admitted-and-served replies always arrive.
-            let Ok(line) = slot.recv() else { continue };
-            let start = Instant::now();
-            if w.write_all(line.as_bytes()).is_err()
-                || w.write_all(b"\n").is_err()
-                || w.flush().is_err()
-            {
-                break;
-            }
-            if let Some(handle) = &handle {
-                let d = start.elapsed();
-                handle.record_stage("reply_write", d);
-                if obs::trace_enabled() {
-                    obs::trace::emit_complete("reply_write", start, d);
-                }
-            }
-        }
-    });
+    let writer = thread::spawn(move || write_replies(&mut BufWriter::new(write_half), slot_rx));
     serve_lines(BufReader::new(stream), &slot_tx, &gate);
     drop(slot_tx);
     // Reader done; the writer exits once every admitted request's reply
@@ -480,10 +364,7 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| MgbaError::io("listener", e))?;
-        let shared = Arc::new(Shared::new(
-            self.config.queue_depth,
-            self.config.read_workers,
-        ));
+        let shared = Arc::new(Shared::new(self.config.queue_depth));
         let registry = Registry::new(
             self.config.queue_depth,
             Arc::clone(&shared),
@@ -494,11 +375,9 @@ impl Server {
         // Crash-safe restart: rebuild every durable session from its
         // checkpoint + WAL tail before the first connection is accepted.
         registry.recover();
-        let (pool_tx, pool) = spawn_read_pool(&shared);
         let gate = Gate {
             registry: Arc::clone(&registry),
             shared: Arc::clone(&shared),
-            pool_tx,
             default_deadline_ms: self.config.default_deadline_ms,
         };
         while !shared.shutting_down.load(Ordering::SeqCst) {
@@ -526,12 +405,6 @@ impl Server {
         for lane in registry.close() {
             let _ = lane.join();
         }
-        // Read workers poll the shutdown flag, so they are joinable even
-        // while a lingering connection thread still holds a queue-sender
-        // clone — no leaked threads behind `run`'s return.
-        for worker in pool {
-            let _ = worker.join();
-        }
         Ok(())
     }
 }
@@ -541,8 +414,7 @@ impl Server {
 /// come back in admission order on the returned writer.
 ///
 /// Exits when the input ends or a `shutdown` request is served; either
-/// way every lane (and the read pool, when enabled) drains before the
-/// writer is returned.
+/// way every lane drains before the writer is returned.
 ///
 /// # Errors
 ///
@@ -554,7 +426,7 @@ where
     R: BufRead,
     W: Write + Send + 'static,
 {
-    let shared = Arc::new(Shared::new(config.queue_depth, config.read_workers));
+    let shared = Arc::new(Shared::new(config.queue_depth));
     let registry = Registry::new(
         config.queue_depth,
         Arc::clone(&shared),
@@ -563,46 +435,25 @@ where
         config.durability(),
     );
     registry.recover();
-    let (pool_tx, pool) = spawn_read_pool(&shared);
     let gate = Gate {
         registry: Arc::clone(&registry),
         shared: Arc::clone(&shared),
-        pool_tx,
         default_deadline_ms: config.default_deadline_ms,
     };
     let (slot_tx, slot_rx) = mpsc::channel::<ReplySlot>();
     let writer_thread = thread::spawn(move || {
         let mut w = writer;
-        for (slot, handle) in slot_rx {
-            let Ok(line) = slot.recv() else { continue };
-            let start = Instant::now();
-            if w.write_all(line.as_bytes()).is_err()
-                || w.write_all(b"\n").is_err()
-                || w.flush().is_err()
-            {
-                break;
-            }
-            if let Some(handle) = &handle {
-                let d = start.elapsed();
-                handle.record_stage("reply_write", d);
-                if obs::trace_enabled() {
-                    obs::trace::emit_complete("reply_write", start, d);
-                }
-            }
-        }
+        write_replies(&mut w, slot_rx);
         w
     });
     serve_lines(reader, &slot_tx, &gate);
-    // Teardown order matters: close lanes first (they publish the last
-    // replies), then drop the pool sender so read workers exit, then
-    // close the slot stream so the writer drains and returns.
+    // Teardown order matters: close lanes first (they send the last
+    // replies), then close the slot stream so the writer drains and
+    // returns.
     for lane in registry.close() {
         let _ = lane.join();
     }
     drop(gate);
-    for worker in pool {
-        let _ = worker.join();
-    }
     drop(slot_tx);
     let writer = writer_thread
         .join()
@@ -632,13 +483,6 @@ mod tests {
             .lines()
             .map(str::to_owned)
             .collect()
-    }
-
-    fn split_config(read_workers: usize) -> ServerConfig {
-        ServerConfig {
-            read_workers,
-            ..ServerConfig::default()
-        }
     }
 
     #[test]
@@ -732,35 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn split_mode_is_byte_identical_to_funnel_mode() {
-        // Interleaved reads and writes across two sessions: the split
-        // path (reads on pool threads) must produce exactly the bytes
-        // the funnel path produces, in the same order.
-        let script = concat!(
-            r#"{"id":1,"proto":2,"session":"a","cmd":"load","design":"small:5"}"#,
-            "\n",
-            r#"{"id":2,"proto":2,"session":"a","cmd":"wns"}"#,
-            "\n",
-            r#"{"id":3,"proto":2,"session":"b","cmd":"load","design":"small:3"}"#,
-            "\n",
-            r#"{"id":4,"proto":2,"session":"a","cmd":"calibrate","solver":"cgnr"}"#,
-            "\n",
-            r#"{"id":5,"proto":2,"session":"a","cmd":"wns"}"#,
-            "\n",
-            r#"{"id":6,"proto":2,"session":"b","cmd":"slack","top":3}"#,
-            "\n",
-            r#"{"id":7,"proto":2,"session":"a","cmd":"tns"}"#,
-            "\n",
-            r#"{"id":8,"proto":2,"session":"b","cmd":"ping"}"#,
-            "\n",
-        );
-        let funnel = run_session(&split_config(0), script);
-        let split = run_session(&split_config(4), script);
-        assert_eq!(funnel.len(), 8);
-        assert_eq!(funnel, split);
-    }
-
-    #[test]
     fn metrics_command_lands_in_stats_latency_set() {
         // `metrics` is itself a command: the lane records its latency
         // like any other, so the following `stats` reports it.
@@ -797,21 +612,6 @@ mod tests {
             lines[1]
         );
         assert!(lines[2].contains("\"pong\":true"));
-    }
-
-    #[test]
-    fn read_behind_slow_write_honors_its_deadline_in_split_mode() {
-        // The read is admitted behind a 60 ms write, so its ticket
-        // cannot publish inside the 1 ms deadline: the pool must reject
-        // it instead of waiting out the write.
-        let script = "{\"id\":1,\"cmd\":\"sleep\",\"ms\":60}\n\
-                      {\"id\":2,\"cmd\":\"wns\",\"deadline_ms\":1}\n\
-                      {\"id\":3,\"cmd\":\"ping\"}\n";
-        let lines = run_session(&split_config(2), script);
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"slept_ms\":60"), "{}", lines[0]);
-        assert!(lines[1].contains("\"kind\":\"deadline\""), "{}", lines[1]);
-        assert!(lines[2].contains("\"pong\":true"), "{}", lines[2]);
     }
 
     #[cfg(feature = "failpoints")]

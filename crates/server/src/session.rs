@@ -1,8 +1,6 @@
 //! One resident timing session: a loaded design + engine + fitted
-//! weights, executing mutating protocol commands sequentially on its
-//! writer-lane thread while read queries are served either inline
-//! (funnel mode) or from published [`ReadSnapshot`]s (read/write split —
-//! see [`crate::registry`]).
+//! weights, executing every protocol command addressed to it
+//! sequentially on its writer-lane thread (see [`crate::registry`]).
 //!
 //! The session is where the paper's economics pay off: the expensive
 //! steps (netlist load, full STA build, weight fitting) happen once per
@@ -20,7 +18,6 @@
 //! lives in the `stats` command and the `obs` profile instead.
 
 use crate::proto::Command;
-use crate::registry::ReadSnapshot;
 use crate::suggest;
 use mgba::{
     recalibrate_warm, run_mgba_cached, CalibrationCache, FallbackStage, MgbaConfig, MgbaError,
@@ -31,6 +28,7 @@ use obs::json::JsonWriter;
 use sta::{
     gba_path_timing_batch, paths::worst_paths_to_endpoint, pba_timing, pba_timing_batch, Path, Sta,
 };
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,9 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct ServerInfo {
     /// Configured bounded-queue depth.
     pub queue_depth: usize,
-    /// Configured read-pool size (0 = all requests funnel through the
-    /// writer lane).
-    pub read_workers: usize,
     /// Requests executed to completion.
     pub served: u64,
     /// Requests rejected because the queue was full.
@@ -110,9 +105,9 @@ pub(crate) const HISTORY_CAP: usize = 64;
 /// the server's `--slow-ms` threshold. Carries **no timing fields** —
 /// membership is decided by the wall clock but the rendered bytes are
 /// pure admission-order facts, so `slowlog` responses stay
-/// byte-identical across `--threads`/`--read-workers` (with
-/// `--slow-ms 0`, which records every lane command, they are identical
-/// across runs too).
+/// byte-identical across `--threads` settings (with `--slow-ms 0`,
+/// which records every non-read command, they are identical across
+/// runs too).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SlowEntry {
     /// Admission-order request id of the slow request (assigned for
@@ -127,7 +122,7 @@ pub(crate) struct SlowEntry {
 /// bounded per-session history ring and served by the v2 `history`
 /// command. Only bit-deterministic fit statistics are recorded — no
 /// wall-clock — so `history` responses are byte-identical across
-/// thread/read-worker settings.
+/// thread counts.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CalibrationRecord {
     /// 1-based fit index within the session (keeps numbering stable
@@ -173,10 +168,9 @@ struct DesignState {
 }
 
 /// One session's writer-lane state: at most one loaded design. The
-/// lane's [`Journal`] can rebuild it after a caught panic. Latency
+/// lane's `Journal` can rebuild it after a caught panic. Latency
 /// accounting lives on the session's
-/// [`crate::registry::SessionHandle`] so read workers can record into it
-/// without touching the lane.
+/// [`crate::registry::SessionHandle`], so it survives such rebuilds.
 #[derive(Default)]
 pub struct Session {
     loaded: Option<Loaded>,
@@ -197,7 +191,7 @@ pub struct Session {
     /// Calibration-drift history ring, oldest first (cap
     /// [`HISTORY_CAP`]). Deliberately outside [`Loaded`]: it survives
     /// crash-recovery rebuilds, preserving the drift time-series.
-    history: std::collections::VecDeque<CalibrationRecord>,
+    history: VecDeque<CalibrationRecord>,
     /// Records evicted from the history ring.
     history_evicted: u64,
     /// Fits recorded since the session started ([`CalibrationRecord`]
@@ -207,35 +201,33 @@ pub struct Session {
     commits_since_fit: u64,
     /// Slow-query ring, oldest first (cap [`SLOWLOG_CAP`]); fed by the
     /// writer lane when `--slow-ms` is configured.
-    slowlog: std::collections::VecDeque<SlowEntry>,
+    slowlog: VecDeque<SlowEntry>,
     /// Entries evicted from the slow-query ring.
     slow_dropped: u64,
 }
 
-/// Engine-level gauge values for one session, consumed by the
-/// registry-level Prometheus renderer. Built either from the live lane
-/// state ([`Session::engine_gauges`]) or from a published
-/// [`ReadSnapshot`] ([`snapshot_engine_gauges`]).
-pub(crate) struct EngineGauges {
+/// One loaded session's figures in the `metrics` exposition
+/// ([`Session::gauges`]). The session serving a `metrics` request
+/// renders its own live; every lane also publishes a copy after each
+/// state change, which is what the other sessions render for it.
+#[derive(Debug, Clone)]
+pub(crate) struct SessionGauges {
     pub wns: f64,
     pub tns: f64,
     pub calibrated: bool,
     pub full_updates: u64,
     pub incremental_updates: u64,
     pub cells_propagated: u64,
-}
-
-/// Engine gauges read out of a published snapshot (for sessions other
-/// than the one serving the `metrics` request).
-pub(crate) fn snapshot_engine_gauges(snap: &ReadSnapshot) -> EngineGauges {
-    EngineGauges {
-        wns: snap.sta.wns(),
-        tns: snap.sta.tns(),
-        calibrated: snap.calibrated,
-        full_updates: snap.sta.stats.full_updates,
-        incremental_updates: snap.sta.stats.incremental_updates,
-        cells_propagated: snap.sta.stats.cells_propagated,
-    }
+    /// [`Session::is_degraded`].
+    pub degraded: bool,
+    /// Most recent calibration-drift record, if any fit has run.
+    pub latest_fit: Option<CalibrationRecord>,
+    /// Drift records resident in the history ring.
+    pub history_len: usize,
+    /// Warm (dirty-rows-only) recalibrations served.
+    pub recalib_warm: u64,
+    /// Cold (full re-select + re-fit) recalibrations served.
+    pub recalib_cold: u64,
 }
 
 fn usage(msg: impl Into<String>) -> MgbaError {
@@ -268,16 +260,12 @@ fn worst_endpoints(sta: &Sta, top: usize) -> Vec<(CellId, f64)> {
 }
 
 // ---------------------------------------------------------------------
-// Read handlers.
-//
-// Free functions over `&Sta` so the same code serves both paths of the
-// read/write split: the writer lane (live engine, funnel mode) and the
-// read pool (published `ReadSnapshot`). Byte-identity across the two
-// paths falls out of sharing one implementation.
+// Read handlers: free functions over the engine (or the session's
+// rings), dispatched by `Session::handle`.
 // ---------------------------------------------------------------------
 
 /// `ping` result object.
-pub(crate) fn ping_result() -> String {
+fn ping_result() -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.key("pong");
@@ -287,11 +275,7 @@ pub(crate) fn ping_result() -> String {
 }
 
 /// `slack` result: one endpoint's slack, or the `top` worst endpoints.
-pub(crate) fn read_slack(
-    sta: &Sta,
-    endpoint: Option<&str>,
-    top: usize,
-) -> Result<String, MgbaError> {
+fn read_slack(sta: &Sta, endpoint: Option<&str>, top: usize) -> Result<String, MgbaError> {
     let mut w = JsonWriter::new();
     match endpoint {
         Some(name) => {
@@ -347,11 +331,9 @@ pub(crate) fn lint_totals() -> (u64, u64) {
 }
 
 /// `lint` result: the collected-issues report over the loaded design.
-/// The report is a pure function of the netlist (no wall-clock fields,
-/// no ordering dependence on the serving thread), so responses are
-/// byte-identical across `--threads` and `--read-workers` settings and
-/// across the funnel/split execution paths.
-pub(crate) fn read_lint(sta: &Sta) -> String {
+/// The report is a pure function of the netlist (no wall-clock fields),
+/// so responses are byte-identical across `--threads` settings.
+fn read_lint(sta: &Sta) -> String {
     let report = netlist::lint_netlist(sta.netlist());
     LINT_ERRORS.fetch_add(report.num_errors() as u64, Ordering::SeqCst);
     LINT_WARNINGS.fetch_add(report.num_warnings() as u64, Ordering::SeqCst);
@@ -386,10 +368,8 @@ pub(crate) fn read_lint(sta: &Sta) -> String {
     w.finish()
 }
 
-/// `slowlog` result: the slow-query ring, oldest first. Shared by the
-/// writer lane (live ring) and the read pool (snapshot clone) so both
-/// paths serve identical bytes.
-pub(crate) fn render_slowlog(entries: &[SlowEntry], dropped: u64) -> String {
+/// `slowlog` result: the slow-query ring, oldest first.
+fn render_slowlog(entries: &VecDeque<SlowEntry>, dropped: u64) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.key("count");
@@ -414,9 +394,8 @@ pub(crate) fn render_slowlog(entries: &[SlowEntry], dropped: u64) -> String {
     w.finish()
 }
 
-/// `history` result: the calibration-drift ring, oldest first. Shared
-/// by the writer lane and the read pool like [`render_slowlog`].
-pub(crate) fn render_history(records: &[CalibrationRecord], evicted: u64) -> String {
+/// `history` result: the calibration-drift ring, oldest first.
+fn render_history(records: &VecDeque<CalibrationRecord>, evicted: u64) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.key("count");
@@ -436,7 +415,7 @@ pub(crate) fn render_history(records: &[CalibrationRecord], evicted: u64) -> Str
 /// One calibration-drift record as a JSON object — the `history`
 /// response element shape, also reused verbatim as the checkpoint
 /// file's history-line format so recovery restores the exact ring.
-pub(crate) fn write_history_record(w: &mut JsonWriter, r: &CalibrationRecord) {
+fn write_history_record(w: &mut JsonWriter, r: &CalibrationRecord) {
     w.begin_obj();
     w.key("fit");
     w.u64(r.fit_seq);
@@ -468,7 +447,7 @@ pub(crate) fn write_history_record(w: &mut JsonWriter, r: &CalibrationRecord) {
 }
 
 /// `wns`/`tns` result: the summary figure plus the violation count.
-pub(crate) fn read_summary(sta: &Sta, wns: bool) -> String {
+fn read_summary(sta: &Sta, wns: bool) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     if wns {
@@ -486,7 +465,7 @@ pub(crate) fn read_summary(sta: &Sta, wns: bool) -> String {
 
 /// `path` result: the worst path to `endpoint` (or the global worst),
 /// optionally PBA-retimed.
-pub(crate) fn read_path(sta: &Sta, endpoint: Option<&str>, pba: bool) -> Result<String, MgbaError> {
+fn read_path(sta: &Sta, endpoint: Option<&str>, pba: bool) -> Result<String, MgbaError> {
     let cell = match endpoint {
         Some(name) => sta
             .netlist()
@@ -576,28 +555,6 @@ impl Session {
             .is_some_and(|l| l.calibrated.is_some() && l.cache.is_some())
     }
 
-    /// `(warm, cold)` recalibration counts served by this lane.
-    pub(crate) fn recalib_counts(&self) -> (u64, u64) {
-        (self.recalib_warm, self.recalib_cold)
-    }
-
-    /// Clones the immutable post-command state into a snapshot the read
-    /// pool can serve lock-free. `None` while no design is loaded (reads
-    /// then answer the same `no design loaded` usage error the lane
-    /// would).
-    pub(crate) fn read_snapshot(&self) -> Option<ReadSnapshot> {
-        self.loaded.as_ref().map(|l| ReadSnapshot {
-            sta: l.sta.clone(),
-            degraded: self.is_degraded(),
-            calibrated: l.calibrated.is_some(),
-            history: self.history.iter().cloned().collect(),
-            history_evicted: self.history_evicted,
-            slowlog: self.slowlog.iter().cloned().collect(),
-            slow_dropped: self.slow_dropped,
-            installed_at: std::time::Instant::now(),
-        })
-    }
-
     /// Appends a slow-query entry (called by the writer lane after a
     /// non-read command's execution met the `--slow-ms` threshold).
     pub(crate) fn note_slow(&mut self, request_id: Option<u64>, cmd: &'static str) {
@@ -622,16 +579,6 @@ impl Session {
         self.history.push_back(record);
     }
 
-    /// Most recent calibration-drift record, if any fit has run.
-    pub(crate) fn latest_history(&self) -> Option<&CalibrationRecord> {
-        self.history.back()
-    }
-
-    /// Drift records resident in the history ring.
-    pub(crate) fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
     /// `(nonzero, total)` fitted-weight counts over the loaded design.
     fn weight_counts(&self) -> (u64, u64) {
         match &self.loaded {
@@ -646,16 +593,21 @@ impl Session {
         }
     }
 
-    /// Live engine gauges for the session this lane owns (`None` until a
-    /// design is loaded).
-    pub(crate) fn engine_gauges(&self) -> Option<EngineGauges> {
-        self.loaded.as_ref().map(|l| EngineGauges {
+    /// This session's `metrics` figures (`None` until a design is
+    /// loaded).
+    pub(crate) fn gauges(&self) -> Option<SessionGauges> {
+        self.loaded.as_ref().map(|l| SessionGauges {
             wns: l.sta.wns(),
             tns: l.sta.tns(),
             calibrated: l.calibrated.is_some(),
             full_updates: l.sta.stats.full_updates,
             incremental_updates: l.sta.stats.incremental_updates,
             cells_propagated: l.sta.stats.cells_propagated,
+            degraded: self.is_degraded(),
+            latest_fit: self.history.back().cloned(),
+            history_len: self.history.len(),
+            recalib_warm: self.recalib_warm,
+            recalib_cold: self.recalib_cold,
         })
     }
 
@@ -713,19 +665,15 @@ impl Session {
                 let loaded = self.require_loaded()?;
                 Ok(read_lint(&loaded.sta))
             }
-            // Funnel-mode service of the two ring queries: render from
-            // the live rings. The split path renders a snapshot clone of
-            // the same rings (see `registry::execute_read`); both paths
-            // require a loaded design so the modes answer identically.
+            // The two ring queries require a loaded design, like every
+            // other session query.
             Command::Slowlog => {
                 self.require_loaded()?;
-                let entries: Vec<SlowEntry> = self.slowlog.iter().cloned().collect();
-                Ok(render_slowlog(&entries, self.slow_dropped))
+                Ok(render_slowlog(&self.slowlog, self.slow_dropped))
             }
             Command::History => {
                 self.require_loaded()?;
-                let records: Vec<CalibrationRecord> = self.history.iter().cloned().collect();
-                Ok(render_history(&records, self.history_evicted))
+                Ok(render_history(&self.history, self.history_evicted))
             }
             Command::WhatIfResize { cell, to } => self.resize(cell, to, false, false),
             Command::WhatIfBatch { resizes, pba } => self.whatif_batch(resizes, *pba),
@@ -2079,7 +2027,7 @@ mod tests {
                 let wns_a = r.get("wns_after").and_then(Value::as_f64).unwrap();
                 assert!((wns_a - wns_b - d).abs() < 1e-9);
                 // Incremental, not full, update served the commit.
-                assert!(s.engine_gauges().unwrap().incremental_updates > 0);
+                assert!(s.gauges().unwrap().incremental_updates > 0);
                 return;
             }
         }
@@ -2360,7 +2308,8 @@ mod tests {
         assert_eq!(Some(dirty), r.get("total_rows").and_then(Value::as_u64));
 
         // Counters feed the registry-level Prometheus renderer.
-        assert_eq!(s.recalib_counts(), (2, 1));
+        let g = s.gauges().unwrap();
+        assert_eq!((g.recalib_warm, g.recalib_cold), (2, 1));
     }
 
     #[test]
@@ -2466,7 +2415,11 @@ mod tests {
             handle(&mut r, r#"{"cmd":"history"}"#).unwrap(),
             history_live
         );
-        assert_eq!(r.recalib_counts(), s.recalib_counts());
+        let counts = |s: &Session| {
+            let g = s.gauges().unwrap();
+            (g.recalib_warm, g.recalib_cold)
+        };
+        assert_eq!(counts(&r), counts(&s));
         assert_eq!(r.is_degraded(), s.is_degraded());
     }
 
@@ -2502,26 +2455,7 @@ mod tests {
         s.mark_durability_lost();
         assert!(s.durability_lost());
         assert!(s.is_degraded(), "lost durability flags the envelope");
-        // The published snapshot carries the flag to the read pool.
-        assert!(s.read_snapshot().unwrap().degraded);
-    }
-
-    #[test]
-    fn read_snapshot_tracks_loaded_state() {
-        let mut s = Session::new();
-        assert!(s.read_snapshot().is_none());
-        handle(&mut s, r#"{"cmd":"load","design":"small:7"}"#).unwrap();
-        let snap = s.read_snapshot().expect("loaded session snapshots");
-        assert!(!snap.degraded);
-        assert!(!snap.calibrated);
-        // The snapshot is an independent clone serving identical bytes.
-        let live = wns_of(&mut s);
-        assert_eq!(snap.sta.wns().to_bits(), live.to_bits());
-        assert_eq!(
-            read_summary(&snap.sta, true),
-            handle(&mut s, r#"{"cmd":"wns"}"#).unwrap()
-        );
-        handle(&mut s, r#"{"cmd":"calibrate","solver":"cgnr"}"#).unwrap();
-        assert!(s.read_snapshot().unwrap().calibrated);
+        // The gauges carry the flag to other sessions' `metrics` rows.
+        assert!(s.gauges().unwrap().degraded);
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! - the full command flow (load → calibrate → query → what-if → commit
 //!   → snapshot → restore → stats → shutdown) works over TCP;
-//! - responses are byte-identical under `--threads 1` and `--threads 4`,
-//!   with the read pool off (`read_workers 0`) and on (`4`);
+//! - responses are byte-identical under `--threads 1` and `--threads 4`;
+//! - `metrics` rows for a session read the same whichever session
+//!   serves the scrape;
 //! - protocol v2: sessions shard state, every v2 envelope names its
 //!   session, and concurrent clients get admission-ordered replies;
 //! - protocol v1 requests still work sessionless, pinned byte-for-byte
@@ -108,23 +109,15 @@ fn responses_are_bit_identical_across_thread_counts_and_read_modes() {
     // through admission-ordered reply slots, and no envelope carries a
     // wall-clock field — so the entire response stream must be
     // byte-identical no matter how many threads the engine's parallel
-    // kernels use AND no matter whether reads funnel through the lane
-    // (`read_workers 0`) or run on the snapshot pool (`read_workers 4`).
-    // The script mixes v1 sessionless lines with v2 session-addressed
-    // lines across two sessions to pin the sharded path too.
-    //
-    // Ordering rule: every state-changing write to a session precedes
-    // that session's reads. Split-mode reads serve the latest published
-    // snapshot at or after their admission floor, so a write issued
-    // after a read to the same session could publish before the pool
-    // executes the read — byte-identity holds only for scripts that
-    // respect this write-then-read discipline per session.
+    // kernels use. The script mixes v1 sessionless lines with v2
+    // session-addressed lines across two sessions to pin the sharded
+    // path too.
     //
     // Observability surfaces are part of the determinism contract: with
-    // slow_ms 0 every lane command lands in the slow-query ring, a
+    // slow_ms 0 every non-read command lands in the slow-query ring, a
     // second fit grows the drift history, and both rings (plus the v2
-    // `request_id` stamps) must serialize to the same bytes in funnel
-    // and split mode — no timing fields leak.
+    // `request_id` stamps) must serialize to the same bytes at every
+    // thread count — no timing fields leak.
     let script = concat!(
         r#"{"id":1,"cmd":"load","design":"small:7"}"#,
         "\n",
@@ -170,11 +163,10 @@ fn responses_are_bit_identical_across_thread_counts_and_read_modes() {
         r#"{"id":21,"cmd":"shutdown"}"#,
         "\n",
     );
-    let run_with = |threads: usize, read_workers: usize| -> String {
+    let run_with = |threads: usize| -> String {
         parallel::set_global_threads(threads);
         let out = serve_stream(
             &ServerConfig {
-                read_workers,
                 slow_ms: Some(0),
                 ..ServerConfig::default()
             },
@@ -184,7 +176,7 @@ fn responses_are_bit_identical_across_thread_counts_and_read_modes() {
         .expect("stream run");
         String::from_utf8(out).expect("utf8 responses")
     };
-    let reference = run_with(1, 0);
+    let reference = run_with(1);
     assert!(!reference.is_empty());
     // The new surfaces actually answered with content, and v2 envelopes
     // carry admission-order request ids.
@@ -196,14 +188,11 @@ fn responses_are_bit_identical_across_thread_counts_and_read_modes() {
     assert!(reference.contains("\"durable\":false"), "{reference}");
     assert!(reference.contains("\"recovered\":false"), "{reference}");
     assert!(reference.contains("\"wal_records\":0"), "{reference}");
-    for (threads, read_workers) in [(1, 4), (4, 0), (4, 4)] {
-        assert_eq!(
-            run_with(threads, read_workers),
-            reference,
-            "threads={threads} read_workers={read_workers} must reproduce \
-             the threads=1 read_workers=0 response bytes"
-        );
-    }
+    assert_eq!(
+        run_with(4),
+        reference,
+        "threads=4 must reproduce the threads=1 response bytes"
+    );
     parallel::set_global_threads(1);
 }
 
@@ -331,10 +320,7 @@ fn v1_requests_pin_the_deprecated_envelope_bytes() {
 
 #[test]
 fn sessions_shard_state_and_v1_routes_to_default() {
-    let (addr, handle) = start(ServerConfig {
-        read_workers: 2,
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start(ServerConfig::default());
     let connect = |session: &str| {
         Client::connect(
             &addr.to_string(),
@@ -402,12 +388,12 @@ fn sessions_shard_state_and_v1_routes_to_default() {
 #[test]
 fn concurrent_clients_get_admission_ordered_replies_per_session() {
     // N clients hammer one shared session with a mixed read/write
-    // pipeline while the read pool is live. Each connection must get
-    // exactly its own responses, in the order it sent the requests —
-    // reads answered by pool workers may complete out of order
-    // internally, but the reply slots re-serialize them.
+    // pipeline. Each connection must get exactly its own responses, in
+    // the order it sent the requests, although the lane interleaves
+    // every connection's requests. The lane queue holds all 100
+    // pipelined requests: this test pins reply order, not backpressure.
     let (addr, handle) = start(ServerConfig {
-        read_workers: 4,
+        queue_depth: 128,
         ..ServerConfig::default()
     });
     let config = || ClientConfig {
@@ -468,15 +454,11 @@ fn concurrent_clients_get_admission_ordered_replies_per_session() {
 
 #[test]
 fn lint_is_read_only_and_close_session_evicts_state() {
-    // `lint` is a read command: it is served from the published
-    // snapshot, never mutates the design, and reports the collected
-    // issues for the loaded netlist. `close_session` drops the session
-    // from the registry; the next request on the same name starts from
-    // a blank session.
-    let (addr, handle) = start(ServerConfig {
-        read_workers: 2,
-        ..ServerConfig::default()
-    });
+    // `lint` is a read command: it never mutates the design and
+    // reports the collected issues for the loaded netlist.
+    // `close_session` drops the session from the registry; the next
+    // request on the same name starts from a blank session.
+    let (addr, handle) = start(ServerConfig::default());
     let responses = transact(
         addr,
         &[
@@ -594,7 +576,6 @@ fn live_exposition_scrapes_and_validates() {
     obs::prom::validate(&exposition).expect("exposition conforms");
     for family in [
         "mgba_build_info{version=",
-        "mgba_server_read_backlog",
         "mgba_server_write_queue_depth{session=\"default\"}",
         "mgba_server_session_rebuilds_total{session=\"default\"}",
         "mgba_server_stage_us",
@@ -632,6 +613,91 @@ fn live_exposition_scrapes_and_validates() {
     assert!(history.contains("\"count\":3"), "{history}");
     assert!(history.contains("\"mode\":\"cold\""), "{history}");
     assert!(history.contains("\"mode\":\"warm\""), "{history}");
+}
+
+/// Drives [`serve_stream`] in lock step: each request goes in only after
+/// the previous response came out, so requests addressed to different
+/// sessions also execute in script order.
+fn serve_lockstep(config: ServerConfig, requests: &[&str]) -> Vec<String> {
+    let (request_rx, mut request_tx) = std::io::pipe().expect("request pipe");
+    let (response_rx, response_tx) = std::io::pipe().expect("response pipe");
+    let server = std::thread::spawn(move || {
+        serve_stream(&config, BufReader::new(request_rx), response_tx).map(drop)
+    });
+    let mut responses = BufReader::new(response_rx).lines();
+    let out = requests
+        .iter()
+        .map(|r| {
+            writeln!(request_tx, "{r}").expect("send");
+            responses
+                .next()
+                .expect("one response per request")
+                .expect("read")
+        })
+        .collect();
+    drop(request_tx);
+    server.join().expect("server thread").expect("stream run");
+    out
+}
+
+/// The exposition text carried by a `metrics` response line.
+fn exposition_of(line: &str) -> String {
+    server::json::parse(line)
+        .expect("metrics envelope parses")
+        .get("result")
+        .and_then(|r| r.get("exposition"))
+        .and_then(|e| e.as_str())
+        .expect("metrics result carries the exposition")
+        .to_owned()
+}
+
+#[test]
+fn metrics_rows_for_another_session_match_its_own_scrape() {
+    // Session `a`'s rows must read the same whether `a` serves the
+    // scrape (live state) or `b` does (the state `a` last published).
+    let responses = serve_lockstep(
+        ServerConfig::default(),
+        &[
+            r#"{"id":1,"proto":2,"session":"a","cmd":"load","design":"small:7"}"#,
+            r#"{"id":2,"proto":2,"session":"a","cmd":"calibrate"}"#,
+            r#"{"id":3,"proto":2,"session":"a","cmd":"commit","cell":"g_1_0_0","to":"up"}"#,
+            r#"{"id":4,"proto":2,"session":"b","cmd":"load","design":"small:5"}"#,
+            r#"{"id":5,"proto":2,"session":"a","cmd":"metrics"}"#,
+            r#"{"id":6,"proto":2,"session":"b","cmd":"metrics"}"#,
+            r#"{"id":7,"proto":2,"session":"b","cmd":"shutdown"}"#,
+        ],
+    );
+    assert!(responses.iter().all(|l| ok(l)), "{responses:#?}");
+    let rows_for_a = |line: &str| -> Vec<String> {
+        let text = exposition_of(line);
+        [
+            "mgba_engine_wns{session=\"a\"} ",
+            "mgba_engine_tns{session=\"a\"} ",
+            "mgba_engine_calibrated{session=\"a\"} ",
+            "mgba_calibration_drift_records{session=\"a\"} ",
+        ]
+        .iter()
+        .map(|head| {
+            text.lines()
+                .find(|l| l.starts_with(head))
+                .unwrap_or_else(|| panic!("no `{head}` sample:\n{text}"))
+                .to_owned()
+        })
+        .collect()
+    };
+    let served_by_a = rows_for_a(&responses[4]);
+    assert_eq!(served_by_a, rows_for_a(&responses[5]));
+    assert_eq!(served_by_a[2], "mgba_engine_calibrated{session=\"a\"} 1.0");
+    // The commit refit warm once; the counter keeps that series in every
+    // scrape, not only in scrapes `a` serves.
+    for line in &responses[4..6] {
+        let text = exposition_of(line);
+        assert!(
+            text.lines()
+                .any(|l| l == "mgba_server_recalibrate_warm_total{session=\"a\"} 1.0"),
+            "{text}"
+        );
+    }
 }
 
 #[test]
