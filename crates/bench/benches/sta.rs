@@ -1,11 +1,13 @@
 //! Criterion microbenchmarks of the STA substrate: full vs incremental
-//! timing update (the flow's inner loop), path enumeration, and PBA
-//! re-timing — the costs whose ratio motivates the whole mGBA approach
-//! (GBA updates are cheap, PBA is per-path expensive).
+//! timing update (the flow's inner loop), installing fitted mGBA weights,
+//! path enumeration, and PBA re-timing — the costs whose ratio motivates
+//! the whole mGBA approach (GBA updates are cheap, PBA is per-path
+//! expensive).
 
 use bench::build_engine;
 use criterion::{criterion_group, criterion_main, Criterion};
-use netlist::{CellRole, DesignSpec};
+use mgba::{MgbaConfig, Solver};
+use netlist::{CellId, CellRole, DesignSpec};
 use sta::paths::{select_critical_paths, worst_paths_to_endpoint};
 use sta::pba_timing;
 use std::hint::black_box;
@@ -42,6 +44,24 @@ fn bench_timing_updates(c: &mut Criterion) {
             sta.resize_cell(victim, if up { hi } else { lo }).unwrap();
             up = !up;
             black_box(sta.wns())
+        })
+    });
+
+    // Weight install: fold a fitted D10 weight vector into the engine,
+    // then clear it, as every cold fit does around its solve. The period
+    // is `auto_period`'s, as in `mgba-sta calibrate D10`.
+    group.bench_function("weights_install", |b| {
+        let netlist = DesignSpec::D10.generate();
+        let period = mgba::auto_period(&netlist).expect("D10 has violating paths");
+        let mut sta = mgba::build_engine(netlist, period).expect("valid design");
+        mgba::run_mgba(&mut sta, &MgbaConfig::default(), Solver::ScgRs);
+        let weights: Vec<f64> = (0..sta.netlist().num_cells())
+            .map(|i| sta.gate_weight(CellId::new(i)))
+            .collect();
+        b.iter(|| {
+            sta.set_weights(black_box(&weights));
+            sta.clear_weights();
+            black_box(sta.stats.cells_propagated)
         })
     });
     group.finish();

@@ -158,9 +158,19 @@ pub fn parse_report(text: &str) -> Result<BenchReport, String> {
 /// Compares `current` against `baseline`, returning every violation
 /// (empty means the gate passes). Scenarios present only in `current`
 /// are new coverage and never violations; scenarios missing from
-/// `current` are.
+/// `current` are. A run at another thread count than the baseline's is
+/// a violation too: its wall times measure a different configuration.
 pub fn compare(baseline: &BenchReport, current: &BenchReport, th: &Thresholds) -> Vec<Violation> {
     let mut out = Vec::new();
+    if current.threads != baseline.threads {
+        out.push(Violation {
+            scenario: "report".into(),
+            metric: "threads".into(),
+            baseline: baseline.threads as f64,
+            current: current.threads as f64,
+            detail: "thread count differs from the baseline's (set MGBA_THREADS to match)".into(),
+        });
+    }
     for base in &baseline.scenarios {
         let Some(cur) = current.scenario(&base.name) else {
             out.push(Violation {
@@ -362,6 +372,18 @@ mod tests {
         let violations = compare(&base, &slow, &Thresholds::default());
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].metric, "wall_ms");
+        assert_eq!(exit_code(&violations), 1);
+    }
+
+    #[test]
+    fn a_run_at_another_thread_count_fails_the_gate() {
+        let base = report(vec![scenario("calibrate_cgnr", 20.0, 80_000, &[])]);
+        let mut cur = base.clone();
+        cur.threads = 2;
+        let violations = compare(&base, &cur, &Thresholds::default());
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].metric, "threads");
+        assert_eq!((violations[0].baseline, violations[0].current), (1.0, 2.0));
         assert_eq!(exit_code(&violations), 1);
     }
 

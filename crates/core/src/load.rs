@@ -127,7 +127,7 @@ mod tests {
         assert!(matches!(parse_design("small:x"), Err(MgbaError::Usage(_))));
         assert!(matches!(parse_design("D99"), Err(MgbaError::Usage(_))));
 
-        let dir = std::env::temp_dir().join("mgba_load_test");
+        let dir = std::env::temp_dir().join(format!("mgba_load_test_{}_files", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("d.nl");
         std::fs::write(&path, netlist::write_netlist(&n)).unwrap();
@@ -145,7 +145,8 @@ mod tests {
 
     #[test]
     fn malformed_file_is_parse_error() {
-        let dir = std::env::temp_dir().join("mgba_load_test");
+        let dir =
+            std::env::temp_dir().join(format!("mgba_load_test_{}_malformed", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.nl");
         std::fs::write(&path, "design x\nlibrary std45\nnonsense here\n").unwrap();

@@ -195,7 +195,10 @@ mod tests {
 
     #[test]
     fn file_round_trip_is_bit_identical() {
-        let dir = std::env::temp_dir().join("mgba_weights_io_test");
+        let dir = std::env::temp_dir().join(format!(
+            "mgba_weights_io_test_{}_round_trip",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("w.weights");
         let (sta, weights) = fitted_engine();
@@ -225,7 +228,10 @@ mod tests {
 
     #[test]
     fn malformed_weights_file_is_parse_error_not_panic() {
-        let dir = std::env::temp_dir().join("mgba_weights_io_test");
+        let dir = std::env::temp_dir().join(format!(
+            "mgba_weights_io_test_{}_malformed",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let (sta, _) = fitted_engine();
         for (name, content) in [
@@ -299,7 +305,10 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_existing_content() {
-        let dir = std::env::temp_dir().join("mgba_weights_io_test");
+        let dir = std::env::temp_dir().join(format!(
+            "mgba_weights_io_test_{}_atomic",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("atomic.weights");
         atomic_write_text(&path, "old content\n").unwrap();
@@ -312,7 +321,8 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn torn_write_failpoint_leaves_previous_file_intact() {
-        let dir = std::env::temp_dir().join("mgba_weights_io_test");
+        let dir =
+            std::env::temp_dir().join(format!("mgba_weights_io_test_{}_torn", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.weights");
         atomic_write_text(&path, "good content\n").unwrap();

@@ -1132,8 +1132,14 @@ fn process_lane(
     // A state change (or a panic recovery, which also rewrites state)
     // republishes this session's gauges before the reply goes out, so a
     // client holding the reply sees its effect in any session's
-    // `metrics`. The `health` facts follow the same command.
-    if (result.is_ok() && cmd.is_state_changing()) || panicked {
+    // `metrics`. What-if commands resize and roll back, which advances
+    // the engine's update counters, so they republish too. The `health`
+    // facts follow the same command.
+    let moved_counters = matches!(
+        cmd,
+        Command::WhatIfResize { .. } | Command::WhatIfBatch { .. }
+    );
+    if (result.is_ok() && (cmd.is_state_changing() || moved_counters)) || panicked {
         handle.publish(lane.session.gauges());
     }
     handle

@@ -1859,7 +1859,10 @@ mod tests {
 
     #[test]
     fn calibrate_improves_and_snapshot_restores() {
-        let dir = std::env::temp_dir().join("mgba_server_session_test");
+        let dir = std::env::temp_dir().join(format!(
+            "mgba_server_session_test_{}_snapshot",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("s.mgba");
         let snap_str = snap.to_str().unwrap();
@@ -1892,7 +1895,10 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_snapshots() {
-        let dir = std::env::temp_dir().join("mgba_server_session_test");
+        let dir = std::env::temp_dir().join(format!(
+            "mgba_server_session_test_{}_malformed",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let mut s = Session::new();
         let head = "# mgba ckpt v1\nseq 0\ndegraded 0\ncounters 0 0 0 0 0\nhistory 0\n";

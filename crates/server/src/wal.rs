@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn open_truncates_a_torn_tail_and_appends_after_it() {
-        let dir = std::env::temp_dir().join("mgba_wal_unit");
+        let dir = std::env::temp_dir().join(format!("mgba_wal_unit_{}_torn", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.wal");
         let lines = lines();
@@ -422,7 +422,8 @@ mod tests {
 
     #[test]
     fn rewrite_compacts_to_the_tail_atomically() {
-        let dir = std::env::temp_dir().join("mgba_wal_unit");
+        let dir =
+            std::env::temp_dir().join(format!("mgba_wal_unit_{}_compact", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("compact.wal");
         let _ = std::fs::remove_file(&path);

@@ -2,39 +2,77 @@
 //! and hold slacks, per-gate AOCV derates, mGBA weight application, and
 //! incremental update after netlist modification.
 //!
-//! One [`Sta`] owns its netlist. The timing-closure flow mutates the
-//! design exclusively through [`Sta::resize_cell`] and
-//! [`Sta::insert_buffer`], which keep the timing state consistent via
-//! incremental (worklist-driven) or full re-propagation.
+//! One [`Sta`] owns its netlist. Every timing update — a resize, a weight
+//! install, a full update — runs one dirty-cell sweep: the caller marks
+//! the cells whose inputs it changed, a forward pass in topological order
+//! re-evaluates marked cells and marks the fanouts of any whose values
+//! changed, and a backward pass does the same for required times. Values
+//! are compared bit for bit, so every update leaves the engine identical
+//! to a [`Sta::full_update`] of the same netlist and weights.
 
 use crate::aocv::DerateSet;
 use crate::constraints::Sdc;
 use crate::depth::DepthInfo;
 use crate::graph::TimingGraph;
 use netlist::{BuildError, CellId, CellRole, LibCellId, NetId, Netlist, PinIndex};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Counters describing how much work timing updates performed; used by the
 /// benchmark harness to demonstrate the value of incremental update.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Number of full (whole-graph) timing updates.
+    /// Whole-graph updates: [`Sta::new`], [`Sta::full_update`] and the
+    /// rebuild after [`Sta::insert_buffer`].
     pub full_updates: u64,
-    /// Number of incremental updates.
+    /// Dirty-cell sweeps: one per [`Sta::resize_cell`] and one per weight
+    /// install that changed at least one weight.
     pub incremental_updates: u64,
-    /// Cells re-evaluated across all incremental updates.
+    /// Cell evaluations (forward plus backward) across those sweeps.
     pub cells_propagated: u64,
 }
 
-/// Convergence tolerance for incremental propagation, ps.
-const EPS: f64 = 1e-9;
+/// Cells one sweep direction must re-evaluate, as marks on topological
+/// positions; every mark lies in `lo..hi`. Sized by [`Marks::mark_all`].
+#[derive(Clone, Default)]
+struct Marks {
+    set: Vec<bool>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Marks {
+    fn mark(&mut self, pos: usize) {
+        if self.lo == self.hi {
+            (self.lo, self.hi) = (pos, pos);
+        }
+        (self.lo, self.hi) = (self.lo.min(pos), self.hi.max(pos + 1));
+        self.set[pos] = true;
+    }
+
+    fn mark_all(&mut self, n: usize) {
+        self.set.clear();
+        self.set.resize(n, true);
+        (self.lo, self.hi) = (0, n);
+    }
+
+    /// Unmarks and returns the lowest marked position, or the highest
+    /// with `last`.
+    fn pop(&mut self, last: bool) -> Option<usize> {
+        while self.lo < self.hi {
+            let pos = if last { self.hi - 1 } else { self.lo };
+            (self.lo, self.hi) = if last {
+                (self.lo, pos)
+            } else {
+                (pos + 1, self.hi)
+            };
+            if std::mem::take(&mut self.set[pos]) {
+                return Some(pos);
+            }
+        }
+        None
+    }
+}
 
 /// Graph-based static timing analysis over an owned netlist.
-///
-/// `Clone` supports read/write-split serving: a writer clones the
-/// fully-propagated engine into an immutable snapshot that read-only
-/// queries share without locking.
 #[derive(Clone)]
 pub struct Sta {
     netlist: Netlist,
@@ -65,10 +103,13 @@ pub struct Sta {
     arrival_early: Vec<f64>,
     required_late: Vec<f64>,
 
-    /// Cells re-evaluated by the forward pass of the most recent
-    /// incremental update (empty after a full update). See
+    /// Cells re-evaluated by the forward pass of the most recent resize
+    /// (empty after a full update or a weight install). See
     /// [`Sta::last_touched`].
     last_touched: Vec<CellId>,
+    // Sweep marks (see `Sta::sweep`), all clear between updates.
+    dirty_fwd: Marks,
+    dirty_bwd: Marks,
 
     /// Update effort counters.
     pub stats: UpdateStats,
@@ -106,6 +147,8 @@ impl Sta {
             arrival_early: vec![f64::INFINITY; n],
             required_late: vec![f64::INFINITY; n],
             last_touched: Vec::new(),
+            dirty_fwd: Marks::default(),
+            dirty_bwd: Marks::default(),
             stats: UpdateStats::default(),
         };
         sta.full_update();
@@ -232,19 +275,14 @@ impl Sta {
     }
 
     /// Every cell re-evaluated by the forward pass of the most recent
-    /// incremental update ([`Sta::resize_cell`]), sorted by cell index
-    /// and duplicate-free.
+    /// [`Sta::resize_cell`], sorted by cell index and duplicate-free.
     ///
-    /// Incremental propagation re-evaluates exactly the cells whose
-    /// cached timing quantities (delay, arrivals, clock arrivals) may
-    /// have moved; any cell *not* in this set kept its values to within
-    /// the propagation tolerance. Clients use this as the invalidation
-    /// set for caches derived from per-cell timing (e.g. the mGBA
-    /// fit-matrix rows). The set is replaced by the next incremental
-    /// update and cleared by a full update ([`Sta::full_update`],
-    /// [`Sta::set_weights`], [`Sta::clear_weights`]), after which *all*
-    /// cells must be considered touched — an empty result here is
-    /// meaningful only immediately after an incremental update.
+    /// Any cell *not* in this set kept its delay, slew, arrivals and clock
+    /// arrivals bit for bit, so clients use it to invalidate caches of
+    /// per-cell timing (e.g. the mGBA fit-matrix rows). Full updates and
+    /// weight installs clear it, after which *all* cells must be
+    /// considered touched: an empty set means "nothing moved" only
+    /// immediately after a resize.
     pub fn last_touched(&self) -> &[CellId] {
         &self.last_touched
     }
@@ -362,7 +400,9 @@ impl Sta {
     // ------------------------------------------------------------------
 
     /// Installs mGBA weight corrections (one per cell; only combinational
-    /// cells are affected) and re-propagates late timing.
+    /// cells and flip-flop launch arcs are affected) and re-times the
+    /// cones of the cells whose weight bits changed, returning at once if
+    /// none did. Clears [`Sta::last_touched`].
     ///
     /// # Panics
     ///
@@ -373,20 +413,33 @@ impl Sta {
             self.netlist.num_cells(),
             "one weight per cell required"
         );
-        self.weights.copy_from_slice(weights);
-        self.propagate_arrivals_full();
-        self.propagate_required_full();
-        self.last_touched.clear();
-        self.stats.full_updates += 1;
+        self.install(|i| weights[i]);
     }
 
-    /// Clears all weights (back to original GBA) and re-propagates.
+    /// Clears all weights (back to original GBA), re-timing only the
+    /// cones of the cells that carried one (see [`Sta::set_weights`]).
     pub fn clear_weights(&mut self) {
-        self.weights.fill(0.0);
-        self.propagate_arrivals_full();
-        self.propagate_required_full();
+        self.install(|_| 0.0);
+    }
+
+    /// Sets cell `i`'s weight to `weight(i)`, marking each cell whose
+    /// bits changed forward and its fanins backward (their required times
+    /// read its effective derate), and sweeps if any changed.
+    fn install(&mut self, weight: impl Fn(usize) -> f64) {
+        let mut dirty = false;
+        for i in 0..self.weights.len() {
+            let (c, w) = (CellId::new(i), weight(i));
+            if self.weights[i].to_bits() != w.to_bits() {
+                self.weights[i] = w;
+                self.dirty_fwd.mark(self.graph.topo_pos(c));
+                self.mark_fanins(c);
+                dirty = true;
+            }
+        }
+        if dirty {
+            self.incremental_sweep();
+        }
         self.last_touched.clear();
-        self.stats.full_updates += 1;
     }
 
     // ------------------------------------------------------------------
@@ -400,19 +453,25 @@ impl Sta {
     /// Propagates [`BuildError::WrongFunction`] from the netlist.
     pub fn resize_cell(&mut self, cell: CellId, new_lib: LibCellId) -> Result<(), BuildError> {
         self.netlist.set_lib_cell(cell, new_lib)?;
-        // Re-characterize the resized cell and the drivers of its input
-        // nets (their loads include this cell's input capacitance).
-        let mut seeds = vec![cell];
-        for net in self.netlist.cell(cell).input_nets().collect::<Vec<_>>() {
-            if let Some(driver) = self.netlist.net(net).driver {
-                seeds.push(driver);
-            }
+        // Re-characterize the resized cell and the drivers of its inputs
+        // (their loads include its input capacitance). The drivers'
+        // required times re-read the cell's setup time.
+        self.recharacterize(cell);
+        for k in 0..self.graph.fanins(cell).len() {
+            self.recharacterize(self.graph.fanins(cell)[k].from);
         }
-        for &s in &seeds {
-            self.characterize(s);
-        }
-        self.incremental_update(&seeds);
+        self.mark_fanins(cell);
+        self.incremental_sweep();
+        self.last_touched.sort_unstable_by_key(|c| c.index());
         Ok(())
+    }
+
+    /// Re-characterizes `c` and marks it and its fanouts: its output slew
+    /// moved, which `evaluate` does not compare.
+    fn recharacterize(&mut self, c: CellId) {
+        self.characterize(c);
+        self.dirty_fwd.mark(self.graph.topo_pos(c));
+        self.mark_fanouts(c);
     }
 
     /// Inserts a buffer on `net` (see [`Netlist::insert_buffer`]) and
@@ -485,31 +544,22 @@ impl Sta {
 
     /// Computes the AOCV derates of one cell from the depth analysis.
     fn derate(&mut self, c: CellId) {
-        let i = c.index();
-        match self.netlist.cell(c).role {
-            CellRole::Combinational => {
-                let dist = self.depth.gba_distance(c);
-                match self.depth.gba_depth(c) {
-                    Some(k) => {
-                        self.derate_late[i] = self.derates.data_late.lookup(k as f64, dist);
-                        self.derate_early[i] = self.derates.data_early.lookup(k as f64, dist);
-                    }
-                    None => {
-                        // Dead logic: no complete path, no derate needed.
-                        self.derate_late[i] = 1.0;
-                        self.derate_early[i] = 1.0;
-                    }
+        let d = &self.derates;
+        (self.derate_late[c.index()], self.derate_early[c.index()]) =
+            match (self.netlist.cell(c).role, self.depth.gba_depth(c)) {
+                (CellRole::Combinational, Some(k)) => {
+                    let dist = self.depth.gba_distance(c);
+                    (
+                        d.data_late.lookup(k as f64, dist),
+                        d.data_early.lookup(k as f64, dist),
+                    )
                 }
-            }
-            CellRole::Sequential | CellRole::ClockBuffer | CellRole::ClockSource => {
-                self.derate_late[i] = self.derates.clock_late;
-                self.derate_early[i] = self.derates.clock_early;
-            }
-            CellRole::Input | CellRole::Output => {
-                self.derate_late[i] = 1.0;
-                self.derate_early[i] = 1.0;
-            }
-        }
+                (CellRole::Sequential | CellRole::ClockBuffer | CellRole::ClockSource, _) => {
+                    (d.clock_late, d.clock_early)
+                }
+                // Ports, and dead logic with no complete path, are not derated.
+                _ => (1.0, 1.0),
+            };
     }
 
     /// Worst (max) input slew seen by `c` under GBA slew propagation:
@@ -536,16 +586,24 @@ impl Sta {
         }
     }
 
-    /// Re-evaluates one cell's timing values in topological order.
-    /// Returns `true` if any externally visible value changed.
-    fn evaluate(&mut self, c: CellId) -> bool {
+    /// Re-evaluates one cell's forward values from its fanins. Returns
+    /// whether, bit for bit, a value its fanouts read changed (arrivals,
+    /// clock arrivals) and whether a value its fanins' required times
+    /// read changed (delay, early clock arrival).
+    fn evaluate(&mut self, c: CellId) -> (bool, bool) {
         let i = c.index();
         let role = self.netlist.cell(c).role;
-        let old_delay = self.gba_delay[i];
-        let old_late = self.arrival_late[i];
-        let old_early = self.arrival_early[i];
-        let old_clk_l = self.clk_late[i];
-        let old_clk_e = self.clk_early[i];
+        let values = |s: &Self| {
+            [
+                s.arrival_late[i],
+                s.arrival_early[i],
+                s.clk_late[i],
+                s.clk_early[i],
+                s.gba_delay[i],
+            ]
+            .map(f64::to_bits)
+        };
+        let old = values(self);
 
         self.gba_delay[i] = match role {
             CellRole::Input | CellRole::Output | CellRole::ClockSource => 0.0,
@@ -605,26 +663,21 @@ impl Sta {
             }
         }
 
-        changed(old_delay, self.gba_delay[i])
-            || changed(old_late, self.arrival_late[i])
-            || changed(old_early, self.arrival_early[i])
-            || changed(old_clk_l, self.clk_late[i])
-            || changed(old_clk_e, self.clk_early[i])
+        let new = values(self);
+        (old[..4] != new[..4], old[3..] != new[3..])
     }
 
     /// Recomputes one cell's late required time from its fanouts.
-    /// Returns `true` if it changed.
+    /// Returns `true` if it changed bit for bit.
     fn evaluate_required(&mut self, c: CellId) -> bool {
-        let i = c.index();
         let role = self.netlist.cell(c).role;
         if role == CellRole::Output || self.graph.in_clock_network(c) {
             return false;
         }
-        let mut req = f64::INFINITY;
-        let fanouts: Vec<_> = self.graph.data_fanouts(&self.netlist, c).copied().collect();
-        for e in fanouts {
-            let to_role = self.netlist.cell(e.to).role;
-            let r = match to_role {
+        let req = self
+            .graph
+            .data_fanouts(&self.netlist, c)
+            .map(|e| match self.netlist.cell(e.to).role {
                 CellRole::Sequential | CellRole::Output => {
                     self.endpoint_required(e.to) - e.wire_delay
                 }
@@ -634,31 +687,10 @@ impl Sta {
                         - e.wire_delay
                 }
                 _ => f64::INFINITY,
-            };
-            req = req.min(r);
-        }
-        let old = self.required_late[i];
-        self.required_late[i] = req;
-        changed(old, req)
-    }
-
-    fn propagate_arrivals_full(&mut self) {
-        for &c in &self.graph.topo().to_vec() {
-            self.evaluate(c);
-        }
-    }
-
-    fn propagate_required_full(&mut self) {
-        for &c in &self
-            .graph
-            .topo()
-            .to_vec()
-            .into_iter()
-            .rev()
-            .collect::<Vec<_>>()
-        {
-            self.evaluate_required(c);
-        }
+            })
+            .fold(f64::INFINITY, f64::min);
+        let old = std::mem::replace(&mut self.required_late[c.index()], req);
+        old.to_bits() != req.to_bits()
     }
 
     /// Full timing update: characterize and derate every cell, then
@@ -671,8 +703,9 @@ impl Sta {
             self.derate(c);
         }
         self.compute_clock_paths();
-        self.propagate_arrivals_full();
-        self.propagate_required_full();
+        self.dirty_fwd.mark_all(self.netlist.num_cells());
+        self.dirty_bwd.mark_all(self.netlist.num_cells());
+        self.sweep();
         self.last_touched.clear();
         self.stats.full_updates += 1;
         obs::counter_add("sta.update.full", 1);
@@ -698,96 +731,61 @@ impl Sta {
         }
     }
 
-    /// Worklist-driven incremental update from the given seed cells
-    /// (already re-characterized). Propagates arrivals forward, then
-    /// required times backward from everything that changed.
-    fn incremental_update(&mut self, seeds: &[CellId]) {
-        let cells_before = self.stats.cells_propagated;
-        // Forward pass: min-heap on topological position guarantees each
-        // cell is evaluated after all its changed predecessors.
-        let mut heap: BinaryHeap<Reverse<(usize, u32)>> = BinaryHeap::new();
-        let mut queued = vec![false; self.netlist.num_cells()];
-        for &s in seeds {
-            heap.push(Reverse((self.graph.topo_pos(s), s.index() as u32)));
-            queued[s.index()] = true;
-        }
-        let mut touched: Vec<CellId> = Vec::new();
-        while let Some(Reverse((_, idx))) = heap.pop() {
-            let c = CellId::new(idx as usize);
-            queued[c.index()] = false;
-            self.stats.cells_propagated += 1;
-            let was_seed = seeds.contains(&c);
-            let changed_here = self.evaluate(c);
-            touched.push(c);
-            if changed_here || was_seed {
-                for e in self.graph.fanouts(c).to_vec() {
-                    if !queued[e.to.index()] {
-                        queued[e.to.index()] = true;
-                        heap.push(Reverse((self.graph.topo_pos(e.to), e.to.index() as u32)));
-                    }
-                }
-            }
-        }
-
-        // Backward pass: seed the fanin cone of everything whose delay or
-        // arrival changed (required times depend on fanout delays and
-        // endpoint constraints).
-        let mut bheap: BinaryHeap<(usize, u32)> = BinaryHeap::new();
-        let mut bqueued = vec![false; self.netlist.num_cells()];
-        let push_back = |heap: &mut BinaryHeap<(usize, u32)>,
-                         bqueued: &mut Vec<bool>,
-                         graph: &TimingGraph,
-                         c: CellId| {
-            if !bqueued[c.index()] {
-                bqueued[c.index()] = true;
-                heap.push((graph.topo_pos(c), c.index() as u32));
-            }
-        };
-        for &c in &touched {
-            push_back(&mut bheap, &mut bqueued, &self.graph, c);
-            for e in self.graph.fanins(c) {
-                push_back(&mut bheap, &mut bqueued, &self.graph, e.from);
-            }
-        }
-        while let Some((_, idx)) = bheap.pop() {
-            let c = CellId::new(idx as usize);
-            bqueued[c.index()] = false;
-            self.stats.cells_propagated += 1;
-            if self.evaluate_required(c) {
-                for e in self.graph.fanins(c).to_vec() {
-                    if !bqueued[e.from.index()] {
-                        bqueued[e.from.index()] = true;
-                        bheap.push((self.graph.topo_pos(e.from), e.from.index() as u32));
-                    }
-                }
-            }
-        }
+    /// Runs [`Sta::sweep`] over the caller's marks and counts it as one
+    /// incremental update.
+    fn incremental_sweep(&mut self) {
+        let evaluated = self.sweep();
         self.stats.incremental_updates += 1;
+        self.stats.cells_propagated += evaluated;
         obs::counter_add("sta.update.incremental", 1);
-        obs::counter_add(
-            "sta.update.cells_propagated",
-            self.stats.cells_propagated - cells_before,
-        );
-        // Publish the forward-pass invalidation set (see
-        // `Sta::last_touched`). The backward pass only rewrites required
-        // times, which no per-cell cache consumer reads. A cell can be
-        // popped more than once (a data-fanout edge can re-queue a
-        // flip-flop that already propagated with the clock cone), so
-        // canonicalize to a sorted, duplicate-free set.
-        touched.sort_unstable_by_key(|c| c.index());
-        touched.dedup();
-        self.last_touched = touched;
+        obs::counter_add("sta.update.cells_propagated", evaluated);
     }
-}
 
-#[inline]
-fn changed(old: f64, new: f64) -> bool {
-    if old.is_finite() && new.is_finite() {
-        (old - new).abs() > EPS
-    } else {
-        // Transitions involving ±∞ count as changes only if the class
-        // differs (e.g. -∞ → finite).
-        !(old == new || (old.is_nan() && new.is_nan()))
+    /// Re-evaluates the marked cells forward in topological order (see
+    /// `evaluate` for what marks their fanouts and fanins), then their
+    /// required times backward. Leaves the forward set, in topological
+    /// order, in `last_touched`; returns the number of evaluations.
+    fn sweep(&mut self) -> u64 {
+        self.last_touched.clear();
+        while let Some(pos) = self.dirty_fwd.pop(false) {
+            let c = self.graph.topo()[pos];
+            self.last_touched.push(c);
+            let (fanouts, fanins) = self.evaluate(c);
+            if fanouts {
+                self.mark_fanouts(c);
+            }
+            if fanins {
+                self.mark_fanins(c);
+            }
+        }
+        let mut evaluated = self.last_touched.len() as u64;
+        while let Some(pos) = self.dirty_bwd.pop(true) {
+            let c = self.graph.topo()[pos];
+            evaluated += 1;
+            // Only a combinational cell's required time is read by its
+            // fanins (a flip-flop's D driver reads its setup constraint).
+            if self.evaluate_required(c) && self.netlist.cell(c).role == CellRole::Combinational {
+                self.mark_fanins(c);
+            }
+        }
+        evaluated
+    }
+
+    /// Marks forward the fanouts whose values read `c`. A flip-flop's `D`
+    /// pin is an endpoint, not a dependency: its driver comes after it.
+    fn mark_fanouts(&mut self, c: CellId) {
+        for e in self.graph.fanouts(c) {
+            if self.netlist.cell(e.to).role != CellRole::Sequential || e.pin == PinIndex::FF_CK {
+                self.dirty_fwd.mark(self.graph.topo_pos(e.to));
+            }
+        }
+    }
+
+    /// Marks backward the fanins of `c`, whose required times read it.
+    fn mark_fanins(&mut self, c: CellId) {
+        for e in self.graph.fanins(c) {
+            self.dirty_bwd.mark(self.graph.topo_pos(e.from));
+        }
     }
 }
 
@@ -812,6 +810,27 @@ mod tests {
         Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
     }
 
+    /// Asserts that every cell's propagated timing in `a` equals `b`'s
+    /// bit for bit.
+    fn assert_bit_identical(a: &Sta, b: &Sta) {
+        assert_eq!(a.netlist().num_cells(), b.netlist().num_cells());
+        for (id, _) in a.netlist().cells() {
+            let values = |s: &Sta| {
+                [
+                    s.gate_delay(id),
+                    s.slew(id),
+                    s.arrival_late(id),
+                    s.arrival_early(id),
+                    s.clock_arrival_late(id),
+                    s.clock_arrival_early(id),
+                    s.required_late(id),
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(values(a), values(b), "timing differs at {id}");
+        }
+    }
+
     #[test]
     fn arrivals_are_finite_and_ordered() {
         let sta = engine(41, 2000.0);
@@ -821,7 +840,7 @@ mod tests {
             let early = sta.endpoint_arrival_early(e);
             assert!(early.is_finite());
             assert!(
-                early <= late + EPS,
+                early <= late + 1e-9,
                 "early {early} must not exceed late {late}"
             );
         }
@@ -951,19 +970,14 @@ mod tests {
             sta.derates().clone(),
         )
         .unwrap();
+        assert_bit_identical(&sta, &fresh);
         for e in sta.netlist().endpoints() {
-            assert!(
-                (sta.setup_slack(e) - fresh.setup_slack(e)).abs() < 1e-6,
+            assert_eq!(
+                sta.setup_slack(e).to_bits(),
+                fresh.setup_slack(e).to_bits(),
                 "incremental and full slack must agree at {}",
                 sta.netlist().cell(e).name
             );
-        }
-        for (id, _) in sta.netlist().cells() {
-            let a = sta.required_late(id);
-            let b = fresh.required_late(id);
-            if a.is_finite() || b.is_finite() {
-                assert!((a - b).abs() < 1e-6, "required mismatch at {id}");
-            }
         }
         assert_eq!(sta.stats.incremental_updates, 1);
     }
@@ -989,8 +1003,9 @@ mod tests {
             sta.derates().clone(),
         )
         .unwrap();
+        assert_bit_identical(&sta, &fresh);
         for e in sta.netlist().endpoints() {
-            assert!((sta.setup_slack(e) - fresh.setup_slack(e)).abs() < 1e-6);
+            assert_eq!(sta.setup_slack(e).to_bits(), fresh.setup_slack(e).to_bits());
         }
     }
 
@@ -1064,7 +1079,7 @@ mod tests {
         for w in idx.windows(2) {
             assert!(w[0] < w[1], "touched not canonical: {idx:?}");
         }
-        let same = |a: f64, b: f64| !changed(a, b);
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
         for (id, _) in sta.netlist().cells() {
             if touched.contains(&id) {
                 continue;
@@ -1076,9 +1091,38 @@ mod tests {
             );
         }
 
-        // Weight installation invalidates the set (full repropagation).
+        // A weight install clears the set, even one that changes nothing.
         sta.set_weights(&vec![0.0; sta.netlist().num_cells()]);
         assert!(sta.last_touched().is_empty());
+    }
+
+    #[test]
+    fn unchanged_weight_installs_evaluate_no_cell() {
+        let mut sta = engine(57, 1000.0);
+        let before = sta.stats;
+        sta.clear_weights();
+        sta.set_weights(&vec![0.0; sta.netlist().num_cells()]);
+        assert_eq!(sta.stats, before, "clearing a zero-weight engine is free");
+
+        let w: Vec<f64> = (0..sta.netlist().num_cells())
+            .map(|i| if i % 7 == 0 { -0.05 } else { 0.0 })
+            .collect();
+        sta.set_weights(&w);
+        assert_eq!(
+            sta.stats.incremental_updates,
+            before.incremental_updates + 1
+        );
+        assert!(sta.stats.cells_propagated > before.cells_propagated);
+        let installed = sta.stats;
+        sta.set_weights(&w);
+        assert_eq!(
+            sta.stats, installed,
+            "re-installing the same weights is free"
+        );
+        assert_eq!(
+            sta.stats.full_updates, 1,
+            "only the build ran a full update"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests of the STA engine's analytical invariants.
 
-use netlist::GeneratorConfig;
+use netlist::{CellId, CellRole, DesignSpec, DriveStrength, Function, GeneratorConfig, LibCellId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sta::{DerateSet, DeratingTable, Sdc, Sta};
 
 prop_compose! {
@@ -107,6 +109,155 @@ proptest! {
                     prop_assert!((ha - hb).abs() < 1e-9);
                 }
                 _ => {}
+            }
+        }
+    }
+}
+
+/// Every per-cell value the engine propagates, as bits.
+fn timing_bits(sta: &Sta) -> Vec<[u64; 7]> {
+    (0..sta.netlist().num_cells())
+        .map(CellId::new)
+        .map(|c| {
+            [
+                sta.gate_delay(c),
+                sta.slew(c),
+                sta.arrival_late(c),
+                sta.arrival_early(c),
+                sta.clock_arrival_late(c),
+                sta.clock_arrival_early(c),
+                sta.required_late(c),
+            ]
+            .map(f64::to_bits)
+        })
+        .collect()
+}
+
+/// Applies one random edit (resize, revert, buffer insertion, weight
+/// install or clear) and names it.
+fn random_step(
+    sta: &mut Sta,
+    rng: &mut StdRng,
+    undo: &mut Vec<(CellId, LibCellId)>,
+    buffers: &mut usize,
+) -> String {
+    let n = sta.netlist().num_cells();
+    match rng.random_range(0..6u32) {
+        kind @ (0 | 1) => {
+            let lib = sta.netlist().library();
+            let sized = |c: CellId| {
+                let lc = sta.netlist().cell(c).lib_cell;
+                if kind == 0 {
+                    lib.upsized(lc)
+                } else {
+                    lib.downsized(lc)
+                }
+            };
+            let candidates: Vec<CellId> = (0..n)
+                .map(CellId::new)
+                .filter(|&c| sized(c).is_some())
+                .collect();
+            if candidates.is_empty() {
+                return "no resizable cell".into();
+            }
+            let c = candidates[rng.random_range(0..candidates.len())];
+            let (old, new) = (sta.netlist().cell(c).lib_cell, sized(c).expect("filtered"));
+            sta.resize_cell(c, new).expect("same function");
+            undo.push((c, old));
+            format!("resize {c} ({})", if kind == 0 { "up" } else { "down" })
+        }
+        2 => match undo.pop() {
+            Some((c, old)) => {
+                sta.resize_cell(c, old).expect("same function");
+                format!("revert {c}")
+            }
+            None => "nothing to revert".into(),
+        },
+        3 => {
+            let drivers: Vec<CellId> = sta
+                .netlist()
+                .cells()
+                .filter(|(_, cell)| cell.role == CellRole::Combinational)
+                .map(|(id, _)| id)
+                .filter(|&id| !sta.graph().fanouts(id).is_empty())
+                .collect();
+            let gate = drivers[rng.random_range(0..drivers.len())];
+            let net = sta.netlist().cell(gate).output.expect("has fanout");
+            let sinks = &sta.netlist().net(net).sinks;
+            // Move every sink, or only the first half.
+            let moved: Vec<_> = if sinks.len() > 1 && rng.random_bool(0.5) {
+                sinks[..sinks.len() / 2].to_vec()
+            } else {
+                Vec::new()
+            };
+            let buf = sta
+                .netlist()
+                .library()
+                .variant(Function::Buf, DriveStrength::X2)
+                .expect("standard library");
+            *buffers += 1;
+            let name = format!("prop_buf_{buffers}");
+            sta.insert_buffer(net, buf, &name, &moved)
+                .expect("legal insertion");
+            format!("buffer {name} on {gate}")
+        }
+        4 => {
+            // Sparse weights, sometimes edited in place; values below -1
+            // hit the zero clamp of the effective derate.
+            let mut w: Vec<f64> = if rng.random_bool(0.5) {
+                (0..n).map(|i| sta.gate_weight(CellId::new(i))).collect()
+            } else {
+                vec![0.0; n]
+            };
+            for _ in 0..(n / 25).max(1) {
+                w[rng.random_range(0..n)] = match rng.random_range(0..4u32) {
+                    0 => rng.random_range(-3.0..-1.0),
+                    1 => 0.0,
+                    _ => rng.random_range(-0.4..0.4),
+                };
+            }
+            sta.set_weights(&w);
+            "set_weights".into()
+        }
+        _ => {
+            sta.clear_weights();
+            "clear_weights".into()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every update (resize, revert, buffer insertion, weight install,
+    /// weight clear) leaves each cell's delay, slew, arrivals, clock
+    /// arrivals and required time bit-identical to a full update of the
+    /// same netlist and weights.
+    #[test]
+    fn every_update_matches_a_full_update_bit_for_bit(
+        d1_class in 0u32..2, seed in 0u64..1000, steps_seed in 0u64..1_000_000
+    ) {
+        let (netlist, period) = if d1_class == 1 {
+            let mut config = DesignSpec::D1.config();
+            config.seed = seed;
+            (config.generate(), 2000.0)
+        } else {
+            (GeneratorConfig::small(seed).generate(), 1000.0)
+        };
+        let mut sta = Sta::new(netlist, Sdc::with_period(period), DerateSet::standard())
+            .expect("valid design");
+        let mut rng = StdRng::seed_from_u64(steps_seed);
+        let (mut undo, mut buffers) = (Vec::new(), 0);
+        for k in 0..16 {
+            let step = random_step(&mut sta, &mut rng, &mut undo, &mut buffers);
+            let mut full = sta.clone();
+            full.full_update();
+            let (got, want) = (timing_bits(&sta), timing_bits(&full));
+            let first = (0..got.len()).find(|&i| got[i] != want[i]);
+            prop_assert!(first.is_none(),
+                "design seed {seed}, step {k} ({step}): cell {first:?} differs from a full update");
+            if step.ends_with("weights") {
+                prop_assert!(sta.last_touched().is_empty(), "installs clear last_touched");
             }
         }
     }

@@ -54,7 +54,10 @@ fn ok(line: &str) -> bool {
 
 #[test]
 fn full_command_flow_over_tcp() {
-    let dir = std::env::temp_dir().join("mgba_server_integration");
+    let dir = std::env::temp_dir().join(format!(
+        "mgba_server_integration_{}_flow",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("flow.snapshot");
     let snap_str = snap.to_str().unwrap();
@@ -698,6 +701,46 @@ fn metrics_rows_for_another_session_match_its_own_scrape() {
             "{text}"
         );
     }
+}
+
+#[test]
+fn engine_counters_for_another_session_follow_its_whatif_commands() {
+    // A what-if resizes and rolls back, advancing `a`'s update counters
+    // without changing its state; a scrape `b` serves must still show
+    // the counters `a` would report itself.
+    let responses = serve_lockstep(
+        ServerConfig::default(),
+        &[
+            r#"{"id":1,"proto":2,"session":"a","cmd":"load","design":"small:7"}"#,
+            r#"{"id":2,"proto":2,"session":"a","cmd":"whatif_resize","cell":"g_1_0_0","to":"up"}"#,
+            r#"{"id":3,"proto":2,"session":"b","cmd":"load","design":"small:5"}"#,
+            r#"{"id":4,"proto":2,"session":"a","cmd":"metrics"}"#,
+            r#"{"id":5,"proto":2,"session":"b","cmd":"metrics"}"#,
+            r#"{"id":6,"proto":2,"session":"b","cmd":"shutdown"}"#,
+        ],
+    );
+    assert!(responses.iter().all(|l| ok(l)), "{responses:#?}");
+    let counters_for_a = |line: &str| -> Vec<String> {
+        let text = exposition_of(line);
+        [
+            "mgba_engine_incremental_updates_total{session=\"a\"} ",
+            "mgba_engine_cells_propagated_total{session=\"a\"} ",
+        ]
+        .iter()
+        .map(|head| {
+            text.lines()
+                .find(|l| l.starts_with(head))
+                .unwrap_or_else(|| panic!("no `{head}` sample:\n{text}"))
+                .to_owned()
+        })
+        .collect()
+    };
+    let served_by_a = counters_for_a(&responses[3]);
+    assert_eq!(served_by_a, counters_for_a(&responses[4]));
+    assert_eq!(
+        served_by_a[0], "mgba_engine_incremental_updates_total{session=\"a\"} 2.0",
+        "the what-if resized and rolled back"
+    );
 }
 
 #[test]
