@@ -63,11 +63,15 @@ fn main() {
     rows_list.push(m);
     for rows in rows_list {
         let subset = sampler.sample(&mut rng, m, rows);
-        let reduced = problem.subproblem(&subset);
+        let (reduced, cols) = problem.subproblem(&subset);
         let solved = cgnr::solve(&reduced, &config);
+        // Columns no sampled row touches keep weight 0.
+        let mut x = vec![0.0; problem.num_gates()];
+        for (&j, &v) in cols.iter().zip(&solved.x) {
+            x[j] = v;
+        }
         let err = {
-            let diff: f64 = solved
-                .x
+            let diff: f64 = x
                 .iter()
                 .zip(x_star)
                 .map(|(a, b)| (a - b) * (a - b))
@@ -75,7 +79,7 @@ fn main() {
                 .sqrt();
             diff / x_norm
         };
-        let phi = problem.phi(&solved.x);
+        let phi = problem.phi(&x);
         let bar = "#".repeat(((phi * 100.0 * 8.0) as usize).min(60));
         println!("{rows:>8} {:>9.2} {err:>9.3}  {bar}", phi * 100.0);
     }

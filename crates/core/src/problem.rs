@@ -345,19 +345,36 @@ impl FitProblem {
         self.mse(x).sqrt()
     }
 
-    /// The row-subset subproblem (same columns) used by Algorithm 1.
-    pub fn subproblem(&self, rows: &[usize]) -> FitProblem {
-        FitProblem {
-            a: self.a.select_rows(rows),
+    /// The row-subset subproblem used by Algorithm 1, over only the
+    /// columns its rows touch. Returns it with the parent column of each
+    /// of its columns, in ascending order; each row keeps its entries in
+    /// the parent's order, so a row dot product or scatter over the
+    /// gathered iterate performs the parent's arithmetic exactly.
+    pub fn subproblem(&self, rows: &[usize]) -> (FitProblem, Vec<usize>) {
+        let (a, cols) = self.a.select_rows(rows).compact_columns();
+        let sub = FitProblem {
+            a,
             at: OnceLock::new(),
             b: rows.iter().map(|&r| self.b[r]).collect(),
             s_gba: rows.iter().map(|&r| self.s_gba[r]).collect(),
             s_pba: rows.iter().map(|&r| self.s_pba[r]).collect(),
             lower: rows.iter().map(|&r| self.lower[r]).collect(),
-            columns: self.columns.clone(),
+            columns: cols.iter().map(|&j| self.columns[j]).collect(),
             epsilon: self.epsilon,
             penalty: self.penalty,
             par: self.par,
+        };
+        (sub, cols)
+    }
+
+    /// The row subset over all of the parent's columns, for the dense
+    /// reference loops the compacted rounds are checked against.
+    #[cfg(test)]
+    pub(crate) fn uncompacted_subproblem(&self, rows: &[usize]) -> FitProblem {
+        FitProblem {
+            a: self.a.select_rows(rows),
+            columns: self.columns.clone(),
+            ..self.subproblem(rows).0
         }
     }
 
@@ -580,12 +597,31 @@ mod tests {
     fn subproblem_selects_rows() {
         let (_, _, p) = problem(96);
         let rows = vec![0, 2, 4];
-        let sub = p.subproblem(&rows);
+        let (sub, cols) = p.subproblem(&rows);
         assert_eq!(sub.num_paths(), 3);
-        assert_eq!(sub.num_gates(), p.num_gates());
-        let x = vec![0.01; p.num_gates()];
+        // Only the columns the three rows touch, ascending.
+        let mut touched: Vec<usize> = rows
+            .iter()
+            .flat_map(|&r| p.matrix().row(r).0.iter().map(|&c| c as usize))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        assert_eq!(cols, touched);
+        assert_eq!(sub.num_gates(), cols.len());
+        assert!(sub.num_gates() < p.num_gates());
+        let cells: Vec<CellId> = cols.iter().map(|&j| p.columns()[j]).collect();
+        assert_eq!(sub.columns(), &cells[..]);
+        // Over the gathered iterate every row is the parent's row, bit
+        // for bit.
+        let x: Vec<f64> = (0..p.num_gates())
+            .map(|j| 0.01 - 0.003 * (j % 7) as f64)
+            .collect();
+        let local: Vec<f64> = cols.iter().map(|&j| x[j]).collect();
         for (si, &orig) in rows.iter().enumerate() {
-            assert!((sub.model_slack(si, &x) - p.model_slack(orig, &x)).abs() < 1e-9);
+            assert_eq!(
+                sub.model_slack(si, &local).to_bits(),
+                p.model_slack(orig, &x).to_bits()
+            );
         }
     }
 
@@ -662,7 +698,7 @@ mod tests {
         let (_, _, p) = problem(88);
         assert_eq!(*p.matrix_t(), p.matrix().transpose());
         // Subproblems carry their own (consistent) cache.
-        let sub = p.subproblem(&[0, 1, 3]);
+        let (sub, _) = p.subproblem(&[0, 1, 3]);
         assert_eq!(*sub.matrix_t(), sub.matrix().transpose());
     }
 

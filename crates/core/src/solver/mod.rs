@@ -19,6 +19,8 @@
 pub mod cgnr;
 pub mod gd;
 pub(crate) mod guard;
+#[cfg(test)]
+mod reference;
 pub mod sampling;
 pub mod scg;
 

@@ -84,13 +84,14 @@ pub fn solve_traced_from(
     let converged;
 
     loop {
-        // Lines 1/5: uniform row sample at the current ratio.
+        // Lines 1/5: uniform row sample at the current ratio, reduced to
+        // the columns those rows touch.
         let rows = sampler.sample_ratio(rng, m, ratio);
-        let reduced = problem.subproblem(&rows);
+        let (reduced, cols) = problem.subproblem(&rows);
         // Line 3: solve the reduced problem. Warm start from the previous
         // round's solution and continue the step-decay schedule across
         // rounds, so each round refines rather than re-randomizes.
-        let inner = scg::solve_with_offset(&reduced, config, &x, step_offset + iterations, rng);
+        let inner = scg::solve_round(&reduced, &cols, config, &x, step_offset + iterations, rng);
         iterations += inner.iterations;
         rows_touched += inner.rows_touched;
         // A guard trip in the inner solve poisons the whole round

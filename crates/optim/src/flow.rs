@@ -17,7 +17,7 @@
 use crate::qor::Qor;
 use crate::transforms::{repair_path, Transform, TransformCounts};
 use mgba::{run_mgba, MgbaConfig, Solver};
-use netlist::CellRole;
+use netlist::{CellId, CellRole};
 use serde::{Deserialize, Serialize};
 use sta::paths::worst_paths_to_endpoint;
 use sta::Sta;
@@ -271,28 +271,9 @@ pub fn run_flow(sta: &mut Sta, config: &FlowConfig) -> FlowResult {
                 *mgba_time += t.elapsed();
             }
         };
-        // Per-endpoint slack floors: a downsize is accepted only if every
-        // endpoint keeps `slack ≥ min(slack at recovery start, guard)` in
-        // the flow's timing view. Endpoints already inside the guard band
-        // must not degrade at all; comfortable endpoints may give up
-        // slack down to the guard. (A count-based test would allow one
-        // endpoint to be traded for a worse one.)
         recovery_fit(sta, &mut mgba_time);
-        let endpoints = sta.netlist().endpoints();
-        let capture_floors = |sta: &Sta| -> Vec<f64> {
-            endpoints
-                .iter()
-                .map(|&e| sta.setup_slack(e).min(config.recovery_guard))
-                .collect()
-        };
-        let holds_floors = |sta: &Sta, floors: &[f64]| {
-            endpoints
-                .iter()
-                .zip(floors)
-                .all(|(&e, &f)| !f.is_finite() || sta.setup_slack(e) >= f - 1e-9)
-        };
-        let mut floors = capture_floors(sta);
-        let mut candidates: Vec<(f64, netlist::CellId)> = sta
+        let mut floors = Floors::capture(sta, config.recovery_guard);
+        let mut candidates: Vec<(f64, CellId)> = sta
             .netlist()
             .cells()
             .filter(|(_, c)| c.role == CellRole::Combinational)
@@ -309,7 +290,7 @@ pub fn run_flow(sta: &mut Sta, config: &FlowConfig) -> FlowResult {
                 };
                 sta.resize_cell(cell, down)
                     .expect("downsizing preserves the function");
-                if !holds_floors(sta, &floors) {
+                if !floors.hold_after_resize(sta) {
                     sta.resize_cell(cell, lib)
                         .expect("reverting preserves the function");
                     break;
@@ -320,7 +301,7 @@ pub fn run_flow(sta: &mut Sta, config: &FlowConfig) -> FlowResult {
                     recovery_fit(sta, &mut mgba_time);
                     // Re-anchor on the refreshed view so fit noise cannot
                     // wedge the acceptance test.
-                    floors = capture_floors(sta);
+                    floors = Floors::capture(sta, config.recovery_guard);
                     accepted_since_fit = 0;
                 }
             }
@@ -365,6 +346,63 @@ pub fn run_flow(sta: &mut Sta, config: &FlowConfig) -> FlowResult {
         qor_final_pba,
         closed,
         trace,
+    }
+}
+
+/// Recovery's per-endpoint slack floors: a downsize is accepted only if
+/// every endpoint keeps `slack ≥ min(slack at capture, guard)` in the
+/// flow's timing view. Endpoints already inside the guard band must not
+/// degrade at all; comfortable endpoints may give up slack down to the
+/// guard. (A count-based test would allow one endpoint to be traded for
+/// a worse one.)
+struct Floors {
+    /// Each cell's floor; `−∞`, no floor, for a cell that is not an
+    /// endpoint.
+    by_cell: Vec<f64>,
+    /// Whether every floor held at capture (a NaN slack breaks one).
+    held: bool,
+}
+
+impl Floors {
+    fn capture(sta: &Sta, guard: f64) -> Self {
+        let mut by_cell = vec![f64::NEG_INFINITY; sta.netlist().num_cells()];
+        for e in sta.netlist().endpoints() {
+            by_cell[e.index()] = sta.setup_slack(e).min(guard);
+        }
+        let mut floors = Self {
+            by_cell,
+            held: true,
+        };
+        floors.held = floors.hold_everywhere(sta);
+        floors
+    }
+
+    fn holds_at(&self, sta: &Sta, cell: CellId) -> bool {
+        let f = self.by_cell[cell.index()];
+        !f.is_finite() || sta.setup_slack(cell) >= f - 1e-9
+    }
+
+    fn hold_everywhere(&self, sta: &Sta) -> bool {
+        (0..self.by_cell.len()).all(|i| self.holds_at(sta, CellId::new(i)))
+    }
+
+    /// Whether every floor still holds after a resize, checking only the
+    /// endpoints whose slack it can have moved. An endpoint's setup
+    /// slack reads its data drivers' late arrivals, fixed wire delays,
+    /// its own early clock arrival and its flip-flop's setup time, so an
+    /// endpoint that is neither in [`Sta::last_touched`] nor fed by a
+    /// cell in it kept its slack bit for bit. The floors all held before
+    /// the resize: they held at capture, every accepted resize kept
+    /// them, and a rejected one is reverted exactly.
+    fn hold_after_resize(&self, sta: &Sta) -> bool {
+        self.held
+            && sta.last_touched().iter().all(|&c| {
+                self.holds_at(sta, c)
+                    && sta
+                        .graph()
+                        .data_fanouts(sta.netlist(), c)
+                        .all(|e| self.holds_at(sta, e.to))
+            })
     }
 }
 
@@ -517,6 +555,61 @@ mod tests {
         let r = run_flow(&mut strict, &cfg);
         assert!(r.closed);
         assert_eq!(r.counts.total(), 0);
+    }
+
+    #[test]
+    fn touched_endpoint_check_matches_the_all_endpoint_check() {
+        for seed in [141, 143] {
+            for mgba in [false, true] {
+                // A repaired design, in the GBA view or under a recovery
+                // fit's weights, then every recovery trial.
+                let mut sta = tight_design(seed, 0.08);
+                let mut repair = FlowConfig::gba();
+                repair.recovery = false;
+                run_flow(&mut sta, &repair);
+                if mgba {
+                    let cfg = MgbaConfig {
+                        only_violating: false,
+                        paths_per_endpoint: 5,
+                        ..MgbaConfig::default()
+                    };
+                    run_mgba(&mut sta, &cfg, Solver::ScgRs);
+                }
+                let floors = Floors::capture(&sta, FlowConfig::default().recovery_guard);
+                assert!(floors.held);
+                let mut cells: Vec<(f64, CellId)> = sta
+                    .netlist()
+                    .cells()
+                    .filter(|(_, c)| c.role == CellRole::Combinational)
+                    .map(|(id, c)| (sta.netlist().library().cell(c.lib_cell).area, id))
+                    .collect();
+                cells.sort_by(|a, b| b.0.total_cmp(&a.0));
+                let (mut accepted, mut rejected) = (0, 0);
+                for (_, cell) in cells {
+                    loop {
+                        let lib = sta.netlist().cell(cell).lib_cell;
+                        let Some(down) = sta.netlist().library().downsized(lib) else {
+                            break;
+                        };
+                        sta.resize_cell(cell, down).unwrap();
+                        let held = floors.hold_after_resize(&sta);
+                        assert_eq!(
+                            held,
+                            floors.hold_everywhere(&sta),
+                            "seed {seed} mgba {mgba}: trial {}",
+                            accepted + rejected
+                        );
+                        if !held {
+                            sta.resize_cell(cell, lib).unwrap();
+                            rejected += 1;
+                            break;
+                        }
+                        accepted += 1;
+                    }
+                }
+                assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
+            }
+        }
     }
 
     fn sta_violations(sta: &Sta) -> usize {

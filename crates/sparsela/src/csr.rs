@@ -265,6 +265,30 @@ impl CsrMatrix {
         b.build()
     }
 
+    /// Drops every column no row stores an entry in and renumbers the
+    /// rest in ascending order, keeping each row's entries in stored
+    /// order. Returns the compacted matrix together with the original
+    /// index of each of its columns (ascending).
+    pub fn compact_columns(mut self) -> (CsrMatrix, Vec<usize>) {
+        const UNUSED: u32 = u32::MAX;
+        let mut local = vec![UNUSED; self.num_cols];
+        for &c in &self.col_idx {
+            local[c as usize] = 0;
+        }
+        let mut original = Vec::new();
+        for (j, l) in local.iter_mut().enumerate() {
+            if *l != UNUSED {
+                *l = original.len() as u32;
+                original.push(j);
+            }
+        }
+        for c in &mut self.col_idx {
+            *c = local[*c as usize];
+        }
+        self.num_cols = original.len();
+        (self, original)
+    }
+
     /// Parallel `y = A·x` over row blocks. Row `i` of the result is the
     /// same fixed-order dot product regardless of which thread computes
     /// it, so the output is bit-identical to [`Self::matvec`] for every
@@ -445,6 +469,23 @@ mod tests {
         assert_eq!(s.shape(), (2, 3));
         assert_eq!(s.row(0).1, a.row(2).1);
         assert_eq!(s.row(1).1, a.row(0).1);
+    }
+
+    #[test]
+    fn compact_columns_keeps_touched_columns_in_order() {
+        let mut b = CsrBuilder::new(6);
+        b.push_row(&[(4, 1.0), (1, 2.0), (4, 3.0)]);
+        b.push_row(&[(5, 4.0)]);
+        b.push_row(&[]);
+        let (c, original) = b.build().compact_columns();
+        assert_eq!(original, vec![1, 4, 5]);
+        assert_eq!(c.shape(), (3, 3));
+        // Entries keep their stored order; only the indices change.
+        assert_eq!(c.row(0), (&[1u32, 0, 1][..], &[1.0, 2.0, 3.0][..]));
+        assert_eq!(c.row(1), (&[2u32][..], &[4.0][..]));
+        assert_eq!(c.row(2).0.len(), 0);
+        let (empty, none) = CsrBuilder::new(4).build().compact_columns();
+        assert_eq!((empty.shape(), none.len()), ((0, 0), 0));
     }
 
     #[test]

@@ -48,11 +48,21 @@ impl UniformSampler {
 }
 
 /// Sampling with probability proportional to fixed non-negative weights
-/// (squared row norms), with replacement, via an O(log n) CDF search.
+/// (squared row norms), with replacement.
+///
+/// A draw maps one uniform `u ∈ [0, total)` to the first row whose
+/// cumulative weight exceeds `u`. A guide table (one bucket per row,
+/// each holding the first row past its lower edge) starts that search a
+/// step or two from the answer instead of bisecting the whole CDF.
 #[derive(Debug, Clone)]
 pub struct NormSampler {
     cdf: Vec<f64>,
     total: f64,
+    /// `guide[b]`: the first row whose cumulative weight exceeds
+    /// `b / scale`, the lower edge of bucket `b`.
+    guide: Vec<u32>,
+    /// Buckets per unit of cumulative weight (`len / total`).
+    scale: f64,
 }
 
 impl NormSampler {
@@ -71,7 +81,23 @@ impl NormSampler {
         if acc <= 0.0 {
             return None;
         }
-        Some(Self { cdf, total: acc })
+        let scale = cdf.len() as f64 / acc;
+        let mut row = 0;
+        let guide = (0..cdf.len())
+            .map(|b| {
+                let edge = b as f64 / scale;
+                while row < cdf.len() && cdf[row] <= edge {
+                    row += 1;
+                }
+                row as u32
+            })
+            .collect();
+        Some(Self {
+            cdf,
+            total: acc,
+            guide,
+            scale,
+        })
     }
 
     /// Number of rows.
@@ -93,10 +119,25 @@ impl NormSampler {
     /// Draws one row index.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random_range(0.0..self.total);
-        // partition_point: first index whose cdf exceeds u.
-        self.cdf
-            .partition_point(|&c| c <= u)
-            .min(self.cdf.len() - 1)
+        self.locate(u)
+    }
+
+    /// The first row whose cumulative weight exceeds `u` (clamped to the
+    /// last row), exactly `cdf.partition_point(|&c| c <= u)`. The guide
+    /// entry of `u`'s bucket is only a starting point: rounding in the
+    /// bucket index can put it past the answer, so step back while the
+    /// previous row's cumulative weight still exceeds `u`, then scan
+    /// forward past every row whose cumulative weight does not.
+    fn locate(&self, u: f64) -> usize {
+        let b = ((u * self.scale) as usize).min(self.guide.len() - 1);
+        let mut i = self.guide[b] as usize;
+        while i > 0 && self.cdf[i - 1] > u {
+            i -= 1;
+        }
+        while i < self.cdf.len() && self.cdf[i] <= u {
+            i += 1;
+        }
+        i.min(self.cdf.len() - 1)
     }
 
     /// Draws `k` rows with replacement.
@@ -160,6 +201,75 @@ mod tests {
         let f3 = counts[3] as f64 / 20_000.0;
         assert!((f1 - 0.3).abs() < 0.02, "empirical {f1} vs 0.3");
         assert!((f3 - 0.6).abs() < 0.02, "empirical {f3} vs 0.6");
+    }
+
+    /// The pre-guide-table search every draw must reproduce.
+    fn reference(s: &NormSampler, u: f64) -> usize {
+        s.cdf.partition_point(|&c| c <= u).min(s.cdf.len() - 1)
+    }
+
+    /// Checks `locate` at every bucket edge and CDF value and at the
+    /// three floats on either side: where a rounded bucket index can
+    /// start the search past the answer.
+    fn check_boundaries(s: &NormSampler) {
+        let mut probes = vec![0.0];
+        for k in 0..s.len() {
+            for base in [k as f64 / s.scale, s.cdf[k]] {
+                let (mut up, mut down) = (base, base);
+                for _ in 0..3 {
+                    probes.push(up);
+                    up = f64::from_bits(up.to_bits() + 1);
+                    if down > 0.0 {
+                        down = f64::from_bits(down.to_bits() - 1);
+                        probes.push(down);
+                    }
+                }
+            }
+        }
+        for u in probes.into_iter().filter(|&u| u < s.total) {
+            assert_eq!(s.locate(u), reference(s, u), "u {u} of {}", s.total);
+        }
+    }
+
+    #[test]
+    fn norm_sampler_draw_matches_partition_point() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut draws = 0;
+        for shape in 0..20u64 {
+            let m = 1 + (shape as usize * 37) % 300;
+            // Every third row (and a run at the front) carries no weight;
+            // the rest span four orders of magnitude.
+            let weights: Vec<f64> = (0..m)
+                .map(|i| {
+                    if i % 3 == 1 || i < (shape as usize % 4) {
+                        0.0
+                    } else {
+                        10f64.powf(rng.random_range(-2.0..2.0))
+                    }
+                })
+                .collect();
+            let Some(s) = NormSampler::new(&weights) else {
+                continue;
+            };
+            // The same RNG stream through `draw` and through the
+            // reference search.
+            let mut a = StdRng::seed_from_u64(shape);
+            let mut b = StdRng::seed_from_u64(shape);
+            for _ in 0..5000 {
+                let u: f64 = b.random_range(0.0..s.total);
+                assert_eq!(s.draw(&mut a), reference(&s, u), "shape {shape} u {u}");
+                draws += 1;
+            }
+            check_boundaries(&s);
+        }
+        assert!(draws >= 100_000, "{draws} draws");
+        // Equal weights put CDF values on bucket edges, up to rounding:
+        // with 0.1 and 20 rows a bucket's guide entry overshoots.
+        for w in [0.1, 1.0 / 3.0, 0.7] {
+            for m in 1..=150 {
+                check_boundaries(&NormSampler::new(&vec![w; m]).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -30,11 +30,12 @@ pub struct UpdateStats {
     pub cells_propagated: u64,
 }
 
-/// Cells one sweep direction must re-evaluate, as marks on topological
-/// positions; every mark lies in `lo..hi`. Sized by [`Marks::mark_all`].
+/// Cells one sweep direction must re-evaluate, as bits on topological
+/// positions packed 64 to a word; every mark lies in `lo..hi`. Sized by
+/// [`Marks::mark_all`].
 #[derive(Clone, Default)]
 struct Marks {
-    set: Vec<bool>,
+    words: Vec<u64>,
     lo: usize,
     hi: usize,
 }
@@ -45,30 +46,49 @@ impl Marks {
             (self.lo, self.hi) = (pos, pos);
         }
         (self.lo, self.hi) = (self.lo.min(pos), self.hi.max(pos + 1));
-        self.set[pos] = true;
+        self.words[pos / 64] |= 1 << (pos % 64);
     }
 
     fn mark_all(&mut self, n: usize) {
-        self.set.clear();
-        self.set.resize(n, true);
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), u64::MAX);
+        if !n.is_multiple_of(64) {
+            self.words[n / 64] = (1 << (n % 64)) - 1;
+        }
         (self.lo, self.hi) = (0, n);
     }
 
     /// Unmarks and returns the lowest marked position, or the highest
-    /// with `last`.
+    /// with `last`, skipping whole unmarked words.
     fn pop(&mut self, last: bool) -> Option<usize> {
-        while self.lo < self.hi {
-            let pos = if last { self.hi - 1 } else { self.lo };
-            (self.lo, self.hi) = if last {
-                (self.lo, pos)
-            } else {
-                (pos + 1, self.hi)
-            };
-            if std::mem::take(&mut self.set[pos]) {
-                return Some(pos);
-            }
+        if self.lo >= self.hi {
+            return None;
         }
-        None
+        // Every mark lies in `lo..hi`, so the end words need no masking.
+        let mut words = self.lo / 64..=(self.hi - 1) / 64;
+        let found = if last {
+            words.rev().find_map(|w| {
+                let bits = self.words[w];
+                (bits != 0).then(|| w * 64 + 63 - bits.leading_zeros() as usize)
+            })
+        } else {
+            words.find_map(|w| {
+                let bits = self.words[w];
+                (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+            })
+        };
+        match found {
+            Some(pos) => {
+                self.words[pos / 64] &= !(1 << (pos % 64));
+                if last {
+                    self.hi = pos;
+                } else {
+                    self.lo = pos + 1;
+                }
+            }
+            None => self.lo = self.hi,
+        }
+        found
     }
 }
 
@@ -1189,6 +1209,39 @@ mod tests {
             }
         }
         assert!(some_later);
+    }
+
+    #[test]
+    fn marks_pop_lowest_or_highest_first() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        // A plain ordered set is the reference: forward pops take the
+        // lowest mark, backward pops the highest, across word edges.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for n in [1, 63, 64, 65, 200, 1000] {
+            let mut marks = Marks::default();
+            marks.mark_all(n);
+            let mut want: BTreeSet<usize> = (0..n).collect();
+            for step in 0..4 * n {
+                if rng.random_bool(0.45) {
+                    let pos = rng.random_range(0..n);
+                    marks.mark(pos);
+                    want.insert(pos);
+                } else {
+                    let last = step % 3 == 0;
+                    let expect = if last {
+                        want.pop_last()
+                    } else {
+                        want.pop_first()
+                    };
+                    assert_eq!(marks.pop(last), expect, "n {n} step {step}");
+                }
+            }
+            while let Some(pos) = marks.pop(false) {
+                assert_eq!(Some(pos), want.pop_first());
+            }
+            assert!(want.is_empty());
+        }
     }
 
     #[test]

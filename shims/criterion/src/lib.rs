@@ -8,6 +8,12 @@
 //! median / mean time per iteration. There is no statistical regression
 //! machinery; the numbers are indicative, which is all the offline
 //! environment can support.
+//!
+//! As upstream, the first command-line argument that does not start
+//! with `-` filters the run (`cargo bench --bench solvers -- solver/`):
+//! only benchmarks whose `group/id` label contains it are timed. The
+//! group functions, and so their set-up code, still run for every
+//! group.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -17,14 +23,32 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(5);
 
 /// Top-level benchmark driver handed to every `criterion_group!` target.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// Times only benchmarks whose `group/id` label contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Applies the filter given on the command line, if any: the first
+    /// argument that does not start with `-`.
+    pub fn configure_from_args(self) -> Self {
+        match std::env::args().skip(1).find(|a| !a.starts_with('-')) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 50,
+            filter: self.filter.clone(),
         }
     }
 
@@ -41,6 +65,7 @@ impl Criterion {
 pub struct BenchmarkGroup {
     name: String,
     sample_size: usize,
+    filter: Option<String>,
 }
 
 impl BenchmarkGroup {
@@ -50,18 +75,26 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Times `f` and prints per-iteration statistics.
+    /// Times `f` and prints per-iteration statistics, unless the run's
+    /// filter excludes this benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, mut f: F) {
-        let mut bencher = Bencher {
-            samples: Vec::new(),
-            sample_count: self.sample_size,
-        };
-        f(&mut bencher);
         let label = if self.name.is_empty() {
             id.to_string()
         } else {
             format!("{}/{}", self.name, id)
         };
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|f| !label.contains(f.as_str()))
+        {
+            return;
+        }
+        let mut bencher = Bencher {
+            samples: Vec::new(),
+            sample_count: self.sample_size,
+        };
+        f(&mut bencher);
         report(&label, &mut bencher.samples);
     }
 
@@ -162,7 +195,7 @@ fn fmt_duration(d: Duration) -> String {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -196,6 +229,24 @@ mod tests {
         });
         group.finish();
         assert!(calls > 5, "warmup + samples should call the closure");
+    }
+
+    #[test]
+    fn filter_skips_benchmarks_whose_label_does_not_match() {
+        let mut c = Criterion::default().with_filter("solver/SCG");
+        let mut group = c.benchmark_group("solver");
+        group.sample_size(1);
+        let mut ran = Vec::new();
+        for id in ["GD", "SCG + RS", "SCG + w/o RS"] {
+            group.bench_function(id, |b| {
+                ran.push(id);
+                b.iter(|| ())
+            });
+        }
+        group.finish();
+        let mut other = c.benchmark_group("ablation/step_decay");
+        other.bench_function("dynamic", |_| ran.push("dynamic"));
+        assert_eq!(ran, ["SCG + RS", "SCG + w/o RS"]);
     }
 
     #[test]
