@@ -52,7 +52,7 @@ pub use config::{MgbaConfig, MgbaConfigBuilder};
 pub use error::{MgbaError, ParseError};
 pub use load::{auto_period, build_engine, load_design_or_file, load_netlist_file, parse_design};
 pub use metrics::{PassRatio, PASS_ABS_TOL, PASS_REL_TOL};
-pub use problem::FitProblem;
+pub use problem::{FitProblem, RowIndex};
 pub use report::{AccuracyReport, EndpointAccuracy, StageAccuracy};
 pub use select::{select_paths, Selection, SelectionScheme};
 pub use solver::{
@@ -77,7 +77,7 @@ pub mod prelude {
         auto_period, build_engine, load_design_or_file, load_netlist_file, parse_design,
     };
     pub use crate::metrics::PassRatio;
-    pub use crate::problem::FitProblem;
+    pub use crate::problem::{FitProblem, RowIndex};
     pub use crate::report::AccuracyReport;
     pub use crate::select::{select_paths, Selection, SelectionScheme};
     pub use crate::solver::{FallbackStage, SolveResult, Solver, WarmStart};
@@ -163,8 +163,8 @@ pub fn run_mgba_with_accuracy(
 
 /// Like [`run_mgba`], but also hands back the calibration state an
 /// incremental driver needs for warm refits ([`recalibrate_warm`]):
-/// the selected paths, the assembled fit problem (with its cached
-/// transpose), and the fitted solution `x*`.
+/// the selected paths with their cell→rows index, the assembled fit
+/// problem (with its cached transpose), and the fitted solution `x*`.
 ///
 /// `None` when there was nothing to calibrate (no candidate paths) or
 /// the fit-matrix build was fault-injected away — a driver must fall
@@ -174,7 +174,14 @@ pub fn run_mgba_cached(
     config: &MgbaConfig,
     solver: Solver,
 ) -> (MgbaReport, Option<CalibrationCache>) {
-    let (report, _, cache) = run_mgba_inner(sta, config, solver);
+    let (report, _, fitted) = run_mgba_inner(sta, config, solver);
+    let cache = fitted.map(|(paths, fit, x)| CalibrationCache {
+        index: RowIndex::build(sta, &paths),
+        paths,
+        fit,
+        x,
+        step_offset: report.iterations,
+    });
     (report, cache)
 }
 
@@ -187,6 +194,9 @@ pub struct CalibrationCache {
     /// paths on the edited design rather than re-selecting (the `full`
     /// escape hatch exists for edits large enough to change criticality).
     pub paths: Vec<Path>,
+    /// Which rows of `fit` read each cell's timing, built once with the
+    /// path set.
+    pub index: RowIndex,
     /// The assembled fit problem, patched in place by warm refits.
     pub fit: FitProblem,
     /// The fitted column-space solution `x*` of the most recent solve.
@@ -254,7 +264,7 @@ pub fn recalibrate_warm(
     let _span = obs::span("recalibrate");
     // The fit always runs against original GBA.
     sta.clear_weights();
-    let rows = cache.fit.dirty_rows(sta, &cache.paths, dirty_cells);
+    let rows = cache.fit.dirty_rows(&cache.index, dirty_cells);
     cache.fit.patch_rows(sta, &cache.paths, &rows);
     obs::counter_add("mgba.recalibrate.warm", 1);
     obs::counter_add("mgba.recalibrate.dirty_rows", rows.len() as u64);
@@ -302,11 +312,14 @@ pub(crate) struct PathSample {
     pub mgba: f64,
 }
 
+/// The selected paths, the fit problem built over them and its solution.
+type Fitted = (Vec<Path>, FitProblem, Vec<f64>);
+
 fn run_mgba_inner(
     sta: &mut Sta,
     config: &MgbaConfig,
     solver: Solver,
-) -> (MgbaReport, Vec<PathSample>, Option<CalibrationCache>) {
+) -> (MgbaReport, Vec<PathSample>, Option<Fitted>) {
     let _span = obs::span("mgba");
     sta.clear_weights();
     let selection = {
@@ -459,13 +472,7 @@ fn run_mgba_inner(
             mgba,
         })
         .collect();
-    let cache = CalibrationCache {
-        paths: selection.paths,
-        fit,
-        x: result.x,
-        step_offset: report.iterations,
-    };
-    (report, samples, Some(cache))
+    (report, samples, Some((selection.paths, fit, result.x)))
 }
 
 #[cfg(test)]

@@ -27,8 +27,9 @@
 use netlist::{CellId, CellRole};
 use parallel::Parallelism;
 use sparsela::{CsrBuilder, CsrMatrix};
-use sta::{gba_path_timing_batch, pba_timing_batch, Path, Sta};
-use std::collections::HashMap;
+use sta::{
+    gba_path_timing_batch, gba_path_timing_rows, pba_timing_batch, pba_timing_rows, Path, Sta,
+};
 use std::sync::OnceLock;
 
 /// The assembled least-squares-with-penalty problem.
@@ -89,7 +90,7 @@ impl FitProblem {
         par: Parallelism,
     ) -> Self {
         let _span = obs::span("build");
-        let mut col_of: HashMap<CellId, usize> = HashMap::new();
+        let mut col_of = vec![u32::MAX; sta.netlist().num_cells()];
         let mut columns: Vec<CellId> = Vec::new();
         // First pass: discover the column space — combinational gates on
         // the selected paths plus launching flip-flops (their clock-to-Q
@@ -102,17 +103,22 @@ impl FitProblem {
                     0.0,
                     "FitProblem must be built against original GBA (zero weights)"
                 );
-                col_of.entry(c).or_insert_with(|| {
+                if col_of[c.index()] == u32::MAX {
+                    col_of[c.index()] = u32::try_from(columns.len()).expect("columns fit u32");
                     columns.push(c);
-                    columns.len() - 1
-                });
+                }
             }
         }
         let pba_t = pba_timing_batch(sta, paths, par);
         let gba_t = gba_path_timing_batch(sta, paths, par);
         let rows = parallel::par_map(par, paths, |p| {
             weighted_cells(p, sta)
-                .map(|&c| (col_of[&c], sta.gate_delay(c) * sta.gate_derate(c)))
+                .map(|&c| {
+                    (
+                        col_of[c.index()] as usize,
+                        sta.gate_delay(c) * sta.gate_derate(c),
+                    )
+                })
                 .collect::<Vec<(usize, f64)>>()
         });
         let _assemble_span = obs::span("assemble");
@@ -379,39 +385,38 @@ impl FitProblem {
     }
 
     /// Row indices whose fit coefficients or slacks may have moved after
-    /// an incremental STA update that re-evaluated `dirty_cells`
-    /// ([`Sta::last_touched`]).
+    /// an incremental STA update that changed `dirty_cells`
+    /// ([`Sta::last_touched`], or its subset [`Sta::last_changed`]),
+    /// ascending.
     ///
     /// Row `i` is dirty iff its invalidation set — `paths[i].cells` plus
-    /// the launch and capture clock paths — intersects `dirty_cells`.
-    /// The rule is exact because path timing ([`pba_timing_batch`] /
-    /// [`gba_path_timing_batch`]) reads only per-cell cached quantities
-    /// of those cells: gate delays, slews, and clock arrivals of the
-    /// path's own cells, plus clock-network gate delays through the CRPR
-    /// credit. `paths` must be the set the problem was built from.
+    /// the launch and capture clock paths, as `index` records them —
+    /// intersects `dirty_cells`. The rule is exact because path timing
+    /// ([`pba_timing_batch`] / [`gba_path_timing_batch`]) reads only
+    /// per-cell cached quantities of those cells: gate delays, slews, and
+    /// clock arrivals of the path's own cells, plus clock-network gate
+    /// delays through the CRPR credit. `index` must be built over the
+    /// path set the problem was built from.
     ///
     /// # Panics
     ///
-    /// Panics if `paths.len()` differs from the built row count.
-    pub fn dirty_rows(&self, sta: &Sta, paths: &[Path], dirty_cells: &[CellId]) -> Vec<usize> {
+    /// Panics if `index` covers a different row count.
+    pub fn dirty_rows(&self, index: &RowIndex, dirty_cells: &[CellId]) -> Vec<usize> {
         assert_eq!(
-            paths.len(),
+            index.num_rows,
             self.num_paths(),
-            "dirty_rows: path set must match the built problem"
+            "dirty_rows: index must cover the built problem"
         );
-        let mut mask = vec![false; sta.netlist().num_cells()];
+        let mut hit = vec![false; index.num_rows];
         for &c in dirty_cells {
-            mask[c.index()] = true;
+            // A cell added after the index was built lies on no row.
+            if let Some(w) = index.starts.get(c.index()..c.index() + 2) {
+                for &r in &index.rows[w[0] as usize..w[1] as usize] {
+                    hit[r as usize] = true;
+                }
+            }
         }
-        let hit = |c: &CellId| mask[c.index()];
-        (0..paths.len())
-            .filter(|&i| {
-                let p = &paths[i];
-                p.cells.iter().any(hit)
-                    || sta.clock_path(p.startpoint()).iter().any(hit)
-                    || sta.clock_path(p.endpoint).iter().any(hit)
-            })
-            .collect()
+        (0..hit.len()).filter(|&i| hit[i]).collect()
     }
 
     /// Rebuilds only the given rows in place after an incremental STA
@@ -440,42 +445,32 @@ impl FitProblem {
         if rows.is_empty() {
             return;
         }
-        let col_of: HashMap<CellId, usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| (c, j))
-            .collect();
-        let dirty_paths: Vec<Path> = rows.iter().map(|&r| paths[r].clone()).collect();
-        for p in &dirty_paths {
-            for &c in weighted_cells(p, sta) {
+        let pba_t = pba_timing_rows(sta, paths, rows, self.par);
+        let gba_t = gba_path_timing_rows(sta, paths, rows, self.par);
+        let mut vals = Vec::new();
+        for (k, &r) in rows.iter().enumerate() {
+            // The row's stored columns name its cells: the pattern holds
+            // iff they are the path's weighted cells, in order.
+            let (cols, _) = self.a.row(r);
+            let mut same = true;
+            vals.clear();
+            for (e, &c) in weighted_cells(&paths[r], sta).enumerate() {
                 assert_eq!(
                     sta.gate_weight(c),
                     0.0,
                     "FitProblem must be patched against original GBA (zero weights)"
                 );
+                same &= cols.get(e).is_some_and(|&j| self.columns[j as usize] == c);
+                vals.push(sta.gate_delay(c) * sta.gate_derate(c));
             }
-        }
-        let pba_t = pba_timing_batch(sta, &dirty_paths, self.par);
-        let gba_t = gba_path_timing_batch(sta, &dirty_paths, self.par);
-        let new_rows = parallel::par_map(self.par, &dirty_paths, |p| {
-            weighted_cells(p, sta)
-                .map(|&c| (col_of[&c] as u32, sta.gate_delay(c) * sta.gate_derate(c)))
-                .collect::<Vec<(u32, f64)>>()
-        });
-        for (k, &r) in rows.iter().enumerate() {
-            let new = &new_rows[k];
-            let (cols, _) = self.a.row(r);
             assert!(
-                cols.len() == new.len() && cols.iter().zip(new).all(|(s, (c, _))| s == c),
+                same && cols.len() == vals.len(),
                 "patch_rows: sparsity pattern changed on row {r}"
             );
-            let cols = cols.to_vec();
-            let vals: Vec<f64> = new.iter().map(|&(_, v)| v).collect();
-            self.a.set_row_values(r, &vals);
             if let Some(at) = self.at.get_mut() {
-                at.patch_transposed_row(r, &cols, &vals);
+                at.patch_transposed_row(r, cols, &vals);
             }
+            self.a.set_row_values(r, &vals);
             let gba = gba_t[k].slack;
             let pba = pba_t[k].slack;
             self.b[r] = gba - pba;
@@ -512,6 +507,75 @@ fn weighted_cells<'a>(p: &'a Path, sta: &'a Sta) -> impl Iterator<Item = &'a Cel
         .into_iter()
         .filter(move |_| launch_is_ff)
         .chain(middle(p))
+}
+
+/// Which rows of a fit problem read each cell's timing: row `i` reads
+/// the cells of `paths[i]` and of its launch and capture clock paths
+/// (the CRPR credit reads clock-cell delays). Built once per selected
+/// path set; [`FitProblem::dirty_rows`] answers from it.
+#[derive(Debug, Clone)]
+pub struct RowIndex {
+    /// `rows[starts[c]..starts[c + 1]]` are the rows reading cell `c`,
+    /// ascending.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+    num_rows: usize,
+}
+
+impl RowIndex {
+    /// Indexes `paths` (row `i` is `paths[i]`) against `sta`'s clock
+    /// paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are `u32::MAX` paths or more.
+    pub fn build(sta: &Sta, paths: &[Path]) -> Self {
+        assert!(paths.len() < u32::MAX as usize, "row ids fit u32");
+        let n = sta.netlist().num_cells();
+        // Two passes, counting then filling; `seen` keeps a cell that
+        // appears twice in one row (the shared clock prefix) to one entry.
+        let mut seen = vec![u32::MAX; n];
+        let mut starts = vec![0u32; n + 1];
+        for (i, p) in paths.iter().enumerate() {
+            for c in row_reads(sta, p) {
+                if seen[c] != i as u32 {
+                    seen[c] = i as u32;
+                    starts[c + 1] += 1;
+                }
+            }
+        }
+        for c in 0..n {
+            starts[c + 1] += starts[c];
+        }
+        let mut next = starts[..n].to_vec();
+        let mut rows = vec![0u32; starts[n] as usize];
+        seen.fill(u32::MAX);
+        for (i, p) in paths.iter().enumerate() {
+            for c in row_reads(sta, p) {
+                if seen[c] != i as u32 {
+                    seen[c] = i as u32;
+                    rows[next[c] as usize] = i as u32;
+                    next[c] += 1;
+                }
+            }
+        }
+        Self {
+            starts,
+            rows,
+            num_rows: paths.len(),
+        }
+    }
+}
+
+/// The cell indices path `p`'s timing reads: its own cells, then its
+/// launch and capture clock paths.
+fn row_reads<'a>(sta: &'a Sta, p: &'a Path) -> impl Iterator<Item = usize> + 'a {
+    let (launch, capture) = (sta.clock_path(p.startpoint()), sta.clock_path(p.endpoint));
+    p.cells
+        .iter()
+        .chain(launch)
+        .chain(capture)
+        .map(|c| c.index())
 }
 
 #[cfg(test)]
@@ -731,7 +795,7 @@ mod tests {
         let (victim, up) = resizable_on_path(&sta, &paths);
         sta.resize_cell(victim, up).unwrap();
         let touched = sta.last_touched().to_vec();
-        let dirty = p.dirty_rows(&sta, &paths, &touched);
+        let dirty = p.dirty_rows(&RowIndex::build(&sta, &paths), &touched);
         assert!(
             !dirty.is_empty(),
             "resizing a path gate must dirty the rows through it"
@@ -764,7 +828,8 @@ mod tests {
     #[test]
     fn dirty_rows_empty_when_no_path_cell_is_touched() {
         let (sta, paths, p) = problem(86);
-        assert!(p.dirty_rows(&sta, &paths, &[]).is_empty());
+        let index = RowIndex::build(&sta, &paths);
+        assert!(p.dirty_rows(&index, &[]).is_empty());
         let on_some_path = |c: CellId| {
             paths.iter().any(|pa| {
                 pa.cells.contains(&c)
@@ -778,11 +843,56 @@ mod tests {
             .map(|(id, _)| id)
             .find(|&id| !on_some_path(id))
             .expect("an off-path cell exists");
-        assert!(p.dirty_rows(&sta, &paths, &[off]).is_empty());
+        assert!(p.dirty_rows(&index, &[off]).is_empty());
         // And patching nothing is a no-op.
         let mut q = p.clone();
         q.patch_rows(&sta, &paths, &[]);
         assert_eq!(q.matrix(), p.matrix());
+    }
+
+    /// The rule [`FitProblem::dirty_rows`] implements, by scanning every
+    /// path: row `i` is dirty iff its cells or clock paths meet
+    /// `dirty_cells`.
+    fn dirty_rows_by_scan(sta: &Sta, paths: &[Path], dirty_cells: &[CellId]) -> Vec<usize> {
+        let hit = |c: &CellId| dirty_cells.contains(c);
+        (0..paths.len())
+            .filter(|&i| {
+                let p = &paths[i];
+                p.cells.iter().any(hit)
+                    || sta.clock_path(p.startpoint()).iter().any(hit)
+                    || sta.clock_path(p.endpoint).iter().any(hit)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_dirty_rows_match_a_scan_of_every_path() {
+        use rand::{Rng, SeedableRng};
+        for seed in [81u64, 82, 83] {
+            let (sta, paths, p) = problem(seed);
+            let index = RowIndex::build(&sta, &paths);
+            let n = sta.netlist().num_cells();
+            for c in (0..n).map(CellId::new) {
+                assert_eq!(
+                    p.dirty_rows(&index, &[c]),
+                    dirty_rows_by_scan(&sta, &paths, &[c]),
+                    "seed {seed}: rows reading cell {c}"
+                );
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for k in 0..40 {
+                let mut cells: Vec<CellId> = (0..1 + k % 9)
+                    .map(|_| CellId::new(rng.random_range(0..n)))
+                    .collect();
+                cells.sort_unstable_by_key(|c| c.index());
+                cells.dedup();
+                assert_eq!(
+                    p.dirty_rows(&index, &cells),
+                    dirty_rows_by_scan(&sta, &paths, &cells),
+                    "seed {seed}: cell set {k}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -800,7 +910,7 @@ mod tests {
                     .find(|&c| sta.netlist().cell(c).role == CellRole::ClockBuffer)
             })
             .expect("a clock buffer feeds some selected launch flip-flop");
-        let dirty = p.dirty_rows(&sta, &paths, &[buf]);
+        let dirty = p.dirty_rows(&RowIndex::build(&sta, &paths), &[buf]);
         assert!(!dirty.is_empty());
         for (i, pa) in paths.iter().enumerate() {
             let hit = pa.cells.contains(&buf)

@@ -366,7 +366,7 @@ struct Floors {
 impl Floors {
     fn capture(sta: &Sta, guard: f64) -> Self {
         let mut by_cell = vec![f64::NEG_INFINITY; sta.netlist().num_cells()];
-        for e in sta.netlist().endpoints() {
+        for &e in sta.endpoints() {
             by_cell[e.index()] = sta.setup_slack(e).min(guard);
         }
         let mut floors = Self {

@@ -27,10 +27,9 @@ pub struct HoldFixReport {
 /// Flip-flops with negative hold slack, worst first.
 pub fn hold_violations(sta: &Sta) -> Vec<(CellId, f64)> {
     let mut v: Vec<(CellId, f64)> = sta
-        .netlist()
         .endpoints()
-        .into_iter()
-        .filter_map(|e| {
+        .iter()
+        .filter_map(|&e| {
             sta.hold_slack(e)
                 .filter(|s| s.is_finite() && *s < 0.0)
                 .map(|s| (e, s))

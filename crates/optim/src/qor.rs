@@ -42,8 +42,7 @@ impl Qor {
         // parallel; the reduction folds the per-endpoint slacks serially
         // in endpoint order, so the result is bit-identical for every
         // thread count.
-        let endpoints = sta.netlist().endpoints();
-        let slacks = parallel::par_map(parallel::global(), &endpoints, |&e| {
+        let slacks = parallel::par_map(parallel::global(), sta.endpoints(), |&e| {
             worst_paths_to_endpoint(sta, e, 1)
                 .into_iter()
                 .next()

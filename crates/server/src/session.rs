@@ -26,7 +26,8 @@ use mgba::{
 use netlist::{CellId, LibCellId};
 use obs::json::JsonWriter;
 use sta::{
-    gba_path_timing_batch, paths::worst_paths_to_endpoint, pba_timing, pba_timing_batch, Path, Sta,
+    gba_path_timing_batch, gba_path_timing_rows, paths::worst_paths_to_endpoint, pba_timing,
+    pba_timing_batch, pba_timing_rows, PathTiming, Sta,
 };
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -244,14 +245,27 @@ fn parse_solver(name: &str) -> Result<Solver, MgbaError> {
     })
 }
 
+/// The minimum, in row order, of `base` with each of the ascending
+/// `rows` replaced by its `fresh` timing's slack: the worst slack of a
+/// path set of which only `rows` were re-timed.
+fn worst_slack(base: &[f64], rows: &[usize], fresh: &[PathTiming]) -> f64 {
+    let mut fresh = rows.iter().zip(fresh).peekable();
+    base.iter()
+        .enumerate()
+        .map(|(i, &s)| match fresh.next_if(|&(&r, _)| r == i) {
+            Some((_, t)) => t.slack,
+            None => s,
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Endpoints with finite setup slack, worst first (ties broken by cell
 /// id so the order — and therefore the response bytes — are stable).
 fn worst_endpoints(sta: &Sta, top: usize) -> Vec<(CellId, f64)> {
     let mut v: Vec<(CellId, f64)> = sta
-        .netlist()
         .endpoints()
-        .into_iter()
-        .map(|e| (e, sta.setup_slack(e)))
+        .iter()
+        .map(|&e| (e, sta.setup_slack(e)))
         .filter(|(_, s)| s.is_finite())
         .collect();
     v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.index().cmp(&b.0.index())));
@@ -283,7 +297,7 @@ fn read_slack(sta: &Sta, endpoint: Option<&str>, top: usize) -> Result<String, M
                 .netlist()
                 .find_cell(name)
                 .ok_or_else(|| usage(format!("unknown cell `{name}`")))?;
-            if !sta.netlist().endpoints().contains(&cell) {
+            if !sta.endpoints().contains(&cell) {
                 return Err(usage(format!("cell `{name}` is not a timing endpoint")));
             }
             w.begin_obj();
@@ -1090,12 +1104,16 @@ impl Session {
     }
 
     /// Evaluates N candidate resizes in one request: each candidate is
-    /// trial-applied, measured, and rolled back. Per-candidate slack
-    /// sweeps fan out over the calibrated path set with the batch
-    /// retimers ([`gba_path_timing_batch`] / [`pba_timing_batch`]), so
-    /// the response is bit-identical at any thread count. Invalid
-    /// candidates (unknown names, no such drive) become per-candidate
-    /// `error` entries instead of failing the whole batch.
+    /// trial-applied, measured, and rolled back. On a calibrated session
+    /// the monitored path set (the calibration's paths) is timed once at
+    /// the base state; each candidate re-times only the rows its resize
+    /// changed ([`Sta::last_changed`] looked up in the cache's row index)
+    /// and takes the row-order minimum over those and the base slacks.
+    /// Every other row's timing is bitwise unchanged, so the reply equals
+    /// re-timing the whole set. The batch retimers keep it bit-identical
+    /// at any thread count. Invalid candidates (unknown names, no such
+    /// drive) become per-candidate `error` entries instead of failing the
+    /// whole batch.
     fn whatif_batch(
         &mut self,
         resizes: &[(String, String)],
@@ -1107,7 +1125,15 @@ impl Session {
         // roll back) while the monitored path set stays borrowed from
         // the calibration cache.
         let Loaded { sta, cache, .. } = loaded;
-        let monitored: Option<&[Path]> = cache.as_ref().map(|c| c.paths.as_slice());
+        let cache = cache.as_ref();
+        let slacks = |t: Vec<PathTiming>| t.iter().map(|t| t.slack).collect::<Vec<f64>>();
+        let base = cache.map(|c| {
+            let gba = slacks(gba_path_timing_batch(sta, &c.paths, par));
+            (
+                gba,
+                pba.then(|| slacks(pba_timing_batch(sta, &c.paths, par))),
+            )
+        });
         let wns0 = sta.wns();
         let tns0 = sta.tns();
         let mut w = JsonWriter::new();
@@ -1135,8 +1161,7 @@ impl Session {
                     }
                 });
             // Per-candidate errors use the same `{code, message}` shape
-            // as top-level protocol errors (satellite: one structured
-            // error enum across every command).
+            // as top-level protocol errors.
             let write_error = |w: &mut JsonWriter, e: &MgbaError| {
                 w.key("error");
                 w.begin_obj();
@@ -1175,20 +1200,15 @@ impl Session {
             w.f64(tns1);
             w.key("delta_tns");
             w.f64(tns1 - tns0);
-            if let Some(paths) = monitored {
-                let worst = gba_path_timing_batch(sta, paths, par)
-                    .iter()
-                    .map(|t| t.slack)
-                    .fold(f64::INFINITY, f64::min);
+            if let (Some(c), Some((gba0, pba0))) = (cache, &base) {
+                let rows = c.fit.dirty_rows(&c.index, sta.last_changed());
+                let fresh = gba_path_timing_rows(sta, &c.paths, &rows, par);
                 w.key("path_wns");
-                w.f64(worst);
-                if pba {
-                    let worst = pba_timing_batch(sta, paths, par)
-                        .iter()
-                        .map(|t| t.slack)
-                        .fold(f64::INFINITY, f64::min);
+                w.f64(worst_slack(gba0, &rows, &fresh));
+                if let Some(pba0) = pba0 {
+                    let fresh = pba_timing_rows(sta, &c.paths, &rows, par);
                     w.key("path_pba_wns");
-                    w.f64(worst);
+                    w.f64(worst_slack(pba0, &rows, &fresh));
                 }
             }
             sta.resize_cell(cell, current)
@@ -1789,6 +1809,7 @@ fn parse_history_record(line: &str) -> Result<CalibrationRecord, String> {
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
+    use sta::Path;
 
     fn handle(s: &mut Session, line: &str) -> Result<String, MgbaError> {
         let req = crate::proto::parse_request(line)
@@ -2368,6 +2389,167 @@ mod tests {
         assert!(m2.contains("unknown library cell `NO_SUCH_LIB`"), "{m2}");
         // Every candidate was rolled back: timing is unchanged.
         assert_eq!(wns_of(&mut s).to_bits(), wns0.to_bits());
+    }
+
+    /// The `whatif_batch` loop before incremental re-timing, kept as its
+    /// oracle: every candidate re-times the whole monitored path set.
+    fn full_retime_whatif_batch(
+        s: &mut Session,
+        resizes: &[(String, String)],
+        pba: bool,
+    ) -> Result<String, MgbaError> {
+        let loaded = s.require_loaded()?;
+        let par = parallel::global();
+        // Split borrows: candidates mutate the engine (resize, measure,
+        // roll back) while the monitored path set stays borrowed from
+        // the calibration cache.
+        let Loaded { sta, cache, .. } = loaded;
+        let monitored: Option<&[Path]> = cache.as_ref().map(|c| c.paths.as_slice());
+        let wns0 = sta.wns();
+        let tns0 = sta.tns();
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        w.key("count");
+        w.u64(resizes.len() as u64);
+        w.key("wns_base");
+        w.f64(wns0);
+        w.key("tns_base");
+        w.f64(tns0);
+        w.key("results");
+        w.begin_arr();
+        for (cell_name, to) in resizes {
+            w.begin_obj();
+            w.key("cell");
+            w.str(cell_name);
+            w.key("to");
+            w.str(to);
+            let resolved =
+                Session::resolve_resize(sta, cell_name, to).and_then(|(cell, current, target)| {
+                    if current == target {
+                        Err(usage(format!("`{cell_name}` is already that size")))
+                    } else {
+                        Ok((cell, current, target))
+                    }
+                });
+            // Per-candidate errors use the same `{code, message}` shape
+            // as top-level protocol errors.
+            let write_error = |w: &mut JsonWriter, e: &MgbaError| {
+                w.key("error");
+                w.begin_obj();
+                w.key("code");
+                w.str(crate::proto::error_kind(e));
+                w.key("message");
+                w.str(&e.to_string());
+                w.end_obj();
+            };
+            let (cell, current, target) = match resolved {
+                Ok(t) => t,
+                Err(e) => {
+                    write_error(&mut w, &e);
+                    w.end_obj();
+                    continue;
+                }
+            };
+            if let Err(e) = sta.resize_cell(cell, target) {
+                // Structural rejection happens before any mutation, so
+                // the engine is untouched and the batch can continue.
+                write_error(&mut w, &MgbaError::from(e));
+                w.end_obj();
+                continue;
+            }
+            w.key("from");
+            w.str(&sta.netlist().library().cell(current).name);
+            w.key("resolved_to");
+            w.str(&sta.netlist().library().cell(target).name);
+            let wns1 = sta.wns();
+            let tns1 = sta.tns();
+            w.key("wns");
+            w.f64(wns1);
+            w.key("delta_wns");
+            w.f64(wns1 - wns0);
+            w.key("tns");
+            w.f64(tns1);
+            w.key("delta_tns");
+            w.f64(tns1 - tns0);
+            if let Some(paths) = monitored {
+                let worst = gba_path_timing_batch(sta, paths, par)
+                    .iter()
+                    .map(|t| t.slack)
+                    .fold(f64::INFINITY, f64::min);
+                w.key("path_wns");
+                w.f64(worst);
+                if pba {
+                    let worst = pba_timing_batch(sta, paths, par)
+                        .iter()
+                        .map(|t| t.slack)
+                        .fold(f64::INFINITY, f64::min);
+                    w.key("path_pba_wns");
+                    w.f64(worst);
+                }
+            }
+            sta.resize_cell(cell, current)
+                .map_err(|e| MgbaError::Solver {
+                    solver: "whatif_batch".into(),
+                    message: format!("rollback of `{cell_name}` failed: {e}"),
+                })?;
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+        Ok(w.finish())
+    }
+
+    #[test]
+    fn whatif_batch_matches_the_full_retime_loop() {
+        // Candidates: the worst path's cells (its flip-flops included)
+        // up and down, clock buffers, a flip-flop set to `DFF_X1` (a
+        // resize, or an error where it is already that size), and error
+        // entries: an unknown cell and a library cell of another
+        // function.
+        let candidates = |cells: &[String]| {
+            let mut c: Vec<(String, String)> = cells
+                .iter()
+                .flat_map(|n| [(n.clone(), "up".to_owned()), (n.clone(), "down".to_owned())])
+                .collect();
+            for (cell, to) in [
+                ("cts_0", "up"),
+                ("cts_0", "down"),
+                ("cts_1", "down"),
+                ("cts_2", "up"),
+                ("ff_0_0", "up"),
+                ("ff_0_0", "DFF_X1"),
+                ("no_such_cell", "up"),
+                ("cts_0", "NAND2_X1"),
+            ] {
+                c.push((cell.to_owned(), to.to_owned()));
+            }
+            c
+        };
+        for threads in [1, 4] {
+            parallel::set_global_threads(threads);
+            for seed in [3u64, 5, 7, 11, 13] {
+                let (mut s, cells) = calibrated_session(&format!("small:{seed}"));
+                let resizes = candidates(&cells);
+                let victim = resizable_cell(&mut s, &cells);
+                for round in 0..2 {
+                    for pba in [false, true] {
+                        let got = s.whatif_batch(&resizes, pba).unwrap();
+                        let want = full_retime_whatif_batch(&mut s, &resizes, pba).unwrap();
+                        assert!(got.contains("path_wns"), "seed {seed}: no monitored set");
+                        assert_eq!(
+                            got, want,
+                            "seed {seed}, round {round}, pba {pba}, threads {threads}: \
+                             incremental reply differs from the full re-time"
+                        );
+                    }
+                    // Round 1 runs after a committed resize and its warm
+                    // refit (new weights, same paths and index).
+                    let commit = format!(r#"{{"cmd":"commit","cell":"{victim}","to":"up"}}"#);
+                    handle(&mut s, &commit).unwrap();
+                }
+            }
+        }
+        parallel::set_global_threads(0);
     }
 
     #[test]

@@ -127,6 +127,12 @@ pub struct Sta {
     /// (empty after a full update or a weight install). See
     /// [`Sta::last_touched`].
     last_touched: Vec<CellId>,
+    /// The part of `last_touched` whose path-timing inputs changed. See
+    /// [`Sta::last_changed`].
+    last_changed: Vec<CellId>,
+    /// Setup endpoints in [`Netlist::endpoints`] order, rebuilt with the
+    /// graph.
+    endpoints: Vec<CellId>,
     // Sweep marks (see `Sta::sweep`), all clear between updates.
     dirty_fwd: Marks,
     dirty_bwd: Marks,
@@ -146,6 +152,7 @@ impl Sta {
         let n = netlist.num_cells();
         let graph = TimingGraph::new(&netlist)?;
         let depth = DepthInfo::compute(&netlist, &graph);
+        let endpoints = netlist.endpoints();
         let mut sta = Self {
             netlist,
             sdc,
@@ -167,6 +174,8 @@ impl Sta {
             arrival_early: vec![f64::INFINITY; n],
             required_late: vec![f64::INFINITY; n],
             last_touched: Vec::new(),
+            last_changed: Vec::new(),
+            endpoints,
             dirty_fwd: Marks::default(),
             dirty_bwd: Marks::default(),
             stats: UpdateStats::default(),
@@ -307,6 +316,28 @@ impl Sta {
         &self.last_touched
     }
 
+    /// The cells of [`Sta::last_touched`] whose values path timing reads
+    /// changed, sorted by cell index and duplicate-free: the resized cell
+    /// and the drivers of its inputs (re-characterized: their loads,
+    /// delays and slews moved), and every cell whose delay or clock
+    /// arrivals changed bit for bit.
+    ///
+    /// [`gba_path_timing`](crate::gba_path_timing) and
+    /// [`pba_timing`](crate::pba_timing) read only those per-cell values
+    /// of a path's cells and of its launch and capture clock paths (plus
+    /// structural and weight data a resize leaves alone). So a path none
+    /// of whose cells or clock-path cells is in this set keeps its
+    /// timing bit for bit. Cleared like `last_touched`.
+    pub fn last_changed(&self) -> &[CellId] {
+        &self.last_changed
+    }
+
+    /// Every setup endpoint (flip-flop `D` pins and output ports), in
+    /// [`Netlist::endpoints`] order.
+    pub fn endpoints(&self) -> &[CellId] {
+        &self.endpoints
+    }
+
     // ------------------------------------------------------------------
     // Endpoint timing
     // ------------------------------------------------------------------
@@ -362,20 +393,18 @@ impl Sta {
 
     /// Worst (most negative) setup slack over all endpoints, ps.
     pub fn wns(&self) -> f64 {
-        self.netlist
-            .endpoints()
-            .into_iter()
-            .map(|e| self.setup_slack(e))
+        self.endpoints
+            .iter()
+            .map(|&e| self.setup_slack(e))
             .filter(|s| s.is_finite())
             .fold(f64::INFINITY, f64::min)
     }
 
     /// Total negative setup slack over all endpoints, ps (≤ 0).
     pub fn tns(&self) -> f64 {
-        self.netlist
-            .endpoints()
-            .into_iter()
-            .map(|e| self.setup_slack(e))
+        self.endpoints
+            .iter()
+            .map(|&e| self.setup_slack(e))
             .filter(|s| s.is_finite() && *s < 0.0)
             .sum()
     }
@@ -383,10 +412,9 @@ impl Sta {
     /// Endpoints with negative setup slack, worst first.
     pub fn violating_endpoints(&self) -> Vec<CellId> {
         let mut v: Vec<(CellId, f64)> = self
-            .netlist
-            .endpoints()
-            .into_iter()
-            .map(|e| (e, self.setup_slack(e)))
+            .endpoints
+            .iter()
+            .map(|&e| (e, self.setup_slack(e)))
             .filter(|(_, s)| s.is_finite() && *s < 0.0)
             .collect();
         v.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("slacks are finite"));
@@ -422,7 +450,7 @@ impl Sta {
     /// Installs mGBA weight corrections (one per cell; only combinational
     /// cells and flip-flop launch arcs are affected) and re-times the
     /// cones of the cells whose weight bits changed, returning at once if
-    /// none did. Clears [`Sta::last_touched`].
+    /// none did. Clears [`Sta::last_touched`] and [`Sta::last_changed`].
     ///
     /// # Panics
     ///
@@ -460,6 +488,7 @@ impl Sta {
             self.incremental_sweep();
         }
         self.last_touched.clear();
+        self.last_changed.clear();
     }
 
     // ------------------------------------------------------------------
@@ -483,6 +512,11 @@ impl Sta {
         self.mark_fanins(cell);
         self.incremental_sweep();
         self.last_touched.sort_unstable_by_key(|c| c.index());
+        self.last_changed.push(cell);
+        self.last_changed
+            .extend(self.graph.fanins(cell).iter().map(|e| e.from));
+        self.last_changed.sort_unstable_by_key(|c| c.index());
+        self.last_changed.dedup();
         Ok(())
     }
 
@@ -522,6 +556,7 @@ impl Sta {
         let n = self.netlist.num_cells();
         self.graph = TimingGraph::new(&self.netlist)?;
         self.depth = DepthInfo::compute(&self.netlist, &self.graph);
+        self.endpoints = self.netlist.endpoints();
         self.weights.resize(n, 0.0);
         for v in [
             &mut self.load,
@@ -608,9 +643,10 @@ impl Sta {
 
     /// Re-evaluates one cell's forward values from its fanins. Returns
     /// whether, bit for bit, a value its fanouts read changed (arrivals,
-    /// clock arrivals) and whether a value its fanins' required times
-    /// read changed (delay, early clock arrival).
-    fn evaluate(&mut self, c: CellId) -> (bool, bool) {
+    /// clock arrivals), whether a value its fanins' required times read
+    /// changed (delay, early clock arrival), and whether a value path
+    /// timing reads changed (clock arrivals, delay).
+    fn evaluate(&mut self, c: CellId) -> (bool, bool, bool) {
         let i = c.index();
         let role = self.netlist.cell(c).role;
         let values = |s: &Self| {
@@ -684,7 +720,11 @@ impl Sta {
         }
 
         let new = values(self);
-        (old[..4] != new[..4], old[3..] != new[3..])
+        (
+            old[..4] != new[..4],
+            old[3..] != new[3..],
+            old[2..] != new[2..],
+        )
     }
 
     /// Recomputes one cell's late required time from its fanouts.
@@ -727,6 +767,7 @@ impl Sta {
         self.dirty_bwd.mark_all(self.netlist.num_cells());
         self.sweep();
         self.last_touched.clear();
+        self.last_changed.clear();
         self.stats.full_updates += 1;
         obs::counter_add("sta.update.full", 1);
     }
@@ -764,13 +805,18 @@ impl Sta {
     /// Re-evaluates the marked cells forward in topological order (see
     /// `evaluate` for what marks their fanouts and fanins), then their
     /// required times backward. Leaves the forward set, in topological
-    /// order, in `last_touched`; returns the number of evaluations.
+    /// order, in `last_touched`, and its cells whose path-timing values
+    /// changed in `last_changed`; returns the number of evaluations.
     fn sweep(&mut self) -> u64 {
         self.last_touched.clear();
+        self.last_changed.clear();
         while let Some(pos) = self.dirty_fwd.pop(false) {
             let c = self.graph.topo()[pos];
             self.last_touched.push(c);
-            let (fanouts, fanins) = self.evaluate(c);
+            let (fanouts, fanins, changed) = self.evaluate(c);
+            if changed {
+                self.last_changed.push(c);
+            }
             if fanouts {
                 self.mark_fanouts(c);
             }
@@ -1114,6 +1160,114 @@ mod tests {
         // A weight install clears the set, even one that changes nothing.
         sta.set_weights(&vec![0.0; sta.netlist().num_cells()]);
         assert!(sta.last_touched().is_empty());
+    }
+
+    /// A design over a hand-made library in which a resize can move a
+    /// value path timing reads while leaving every delay and clock
+    /// arrival alone: the input port `a` has a load-dependent slew (and
+    /// no delay), and `DFF_X2` differs from `DFF_X1` only in its setup
+    /// time. `a` drives `g1` and `g2`; `g2`'s worst
+    /// input slew comes from the slower `s`, so `a`'s slew reaches `g2`
+    /// only through PBA's path-specific slew. Returns the engine and the
+    /// path `a → g2 → ff1`.
+    fn recharacterization_only_design() -> (Sta, crate::Path) {
+        use netlist::LibCell;
+        let cell = |name: &str, function, drive, cap, intrinsic, slew, setup| LibCell {
+            name: name.to_owned(),
+            function,
+            drive,
+            area: 1.0,
+            leakage: 1.0,
+            input_cap: cap,
+            intrinsic,
+            drive_res: if function == Function::Input {
+                0.0
+            } else {
+                4.0
+            },
+            slew_sens: 0.2,
+            slew_intrinsic: slew,
+            slew_res: 2.0,
+            max_load: f64::INFINITY,
+            setup,
+            hold: 0.0,
+        };
+        let mut lib = Library::new("recharacterization");
+        let (x1, x2) = (DriveStrength::X1, DriveStrength::X2);
+        for c in [
+            cell("IN_PORT", Function::Input, x1, 0.0, 0.0, 10.0, 0.0),
+            cell("OUT_PORT", Function::Output, x1, 2.0, 0.0, 0.0, 0.0),
+            cell("INV_X1", Function::Inv, x1, 1.0, 16.0, 10.0, 0.0),
+            cell("INV_X2", Function::Inv, x2, 3.0, 14.0, 10.0, 0.0),
+            cell("BUF_X1", Function::Buf, x1, 1.0, 28.0, 200.0, 0.0),
+            cell("NAND2_X1", Function::Nand2, x1, 1.0, 22.0, 10.0, 0.0),
+            cell("DFF_X1", Function::Dff, x1, 1.0, 95.0, 10.0, 30.0),
+            cell("DFF_X2", Function::Dff, x2, 1.0, 95.0, 10.0, 45.0),
+        ] {
+            lib.add(c);
+        }
+        let mut b = NetlistBuilder::new("recharacterization", lib);
+        let clk = b.add_clock_port("clk", Point::ORIGIN);
+        let a = b.add_input("a", Point::ORIGIN);
+        let bin = b.add_input("b", Point::ORIGIN);
+        let g1 = b.add_gate("g1", "INV_X1", Point::ORIGIN, &[a]).unwrap();
+        let s = b.add_gate("s", "BUF_X1", Point::ORIGIN, &[bin]).unwrap();
+        let s_out = b.cell_output(s);
+        let g2 = b
+            .add_gate("g2", "NAND2_X1", Point::ORIGIN, &[a, s_out])
+            .unwrap();
+        for (name, d) in [("ff1", g2), ("ff2", g1)] {
+            let ff = b.add_flip_flop(name, "DFF_X1", Point::ORIGIN, clk).unwrap();
+            b.connect_flip_flop_d(ff, d).unwrap();
+            let q = b.cell_output(ff);
+            b.add_output(&format!("{name}_q"), Point::ORIGIN, q)
+                .unwrap();
+        }
+        let n = b.build().unwrap();
+        let sta = Sta::new(n, Sdc::with_period(1000.0), DerateSet::flat(1.1, 0.9)).unwrap();
+        let nl = sta.netlist();
+        let cells = ["a", "g2", "ff1"].map(|name| nl.find_cell(name).unwrap());
+        let path = crate::paths::worst_paths_to_endpoint(&sta, cells[2], 4)
+            .into_iter()
+            .find(|p| p.cells == cells)
+            .expect("a → g2 → ff1 is a path");
+        (sta, path)
+    }
+
+    #[test]
+    fn last_changed_holds_a_driver_whose_slew_alone_moved() {
+        let (mut sta, path) = recharacterization_only_design();
+        let (a, g2) = (path.cells[0], path.cells[1]);
+        let g1 = sta.netlist().find_cell("g1").unwrap();
+        let pba_before = crate::pba_timing(&sta, &path);
+        let up = sta.netlist().library().find("INV_X2").unwrap();
+        sta.resize_cell(g1, up).unwrap();
+        // The fixture's point: only `a`'s slew moved on this path.
+        assert_ne!(crate::pba_timing(&sta, &path).slack, pba_before.slack);
+        assert!(
+            !sta.last_changed().contains(&g2),
+            "g2's delay kept its bits"
+        );
+        assert!(
+            sta.last_changed().contains(&a),
+            "a re-characterized driver whose slew moved is missing from last_changed"
+        );
+    }
+
+    #[test]
+    fn last_changed_holds_a_resized_flip_flop_whose_setup_alone_moved() {
+        let (mut sta, path) = recharacterization_only_design();
+        let ff1 = path.endpoint;
+        let gba_before = crate::gba_path_timing(&sta, &path);
+        let up = sta.netlist().library().find("DFF_X2").unwrap();
+        sta.resize_cell(ff1, up).unwrap();
+        // The fixture's point: the flip-flop's delay and clock arrivals
+        // kept their bits, yet its setup time moved the path's slack.
+        assert_ne!(crate::gba_path_timing(&sta, &path).slack, gba_before.slack);
+        assert!(
+            sta.last_changed().contains(&ff1),
+            "the resized flip-flop is missing from last_changed"
+        );
     }
 
     #[test]

@@ -55,6 +55,9 @@ pub use aocv_format::{parse_aocv, write_aocv, AocvTable};
 pub use constraints::Sdc;
 pub use corners::{Corner, MultiCornerSta};
 pub use paths::{select_critical_paths, select_top_global_paths, Path};
-pub use pba::{gba_path_timing, gba_path_timing_batch, pba_timing, pba_timing_batch, PathTiming};
+pub use pba::{
+    gba_path_timing, gba_path_timing_batch, gba_path_timing_rows, pba_timing, pba_timing_batch,
+    pba_timing_rows, PathTiming,
+};
 pub use report::timing_report;
 pub use sdf::write_sdf;

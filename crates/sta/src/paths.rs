@@ -239,7 +239,7 @@ pub fn select_critical_paths(
 ) -> Vec<Path> {
     let mut search = Search::default();
     let mut all = Vec::new();
-    for e in sta.netlist().endpoints() {
+    for &e in sta.endpoints() {
         let cut = only_violating.then(|| sta.endpoint_required(e) - CUT_MARGIN);
         search.run(sta, e, k_per_endpoint, cut, &mut all);
     }
@@ -257,7 +257,7 @@ pub fn select_critical_paths(
 pub fn select_top_global_paths(sta: &Sta, k_per_endpoint: usize, m: usize) -> Vec<Path> {
     let mut search = Search::default();
     let mut all = Vec::new();
-    for e in sta.netlist().endpoints() {
+    for &e in sta.endpoints() {
         search.run(sta, e, k_per_endpoint, None, &mut all);
     }
     sort_worst_first(&mut all);

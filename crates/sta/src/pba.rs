@@ -212,6 +212,40 @@ pub fn gba_path_timing_batch(sta: &Sta, paths: &[Path], par: Parallelism) -> Vec
     parallel::par_map(par, paths, |p| gba_path_timing(sta, p))
 }
 
+/// [`pba_timing_batch`] over `paths[r]` for each `r` in `rows`, in
+/// `rows` order, without copying the paths.
+///
+/// # Panics
+///
+/// Panics if a row is out of range or names a malformed path.
+pub fn pba_timing_rows(
+    sta: &Sta,
+    paths: &[Path],
+    rows: &[usize],
+    par: Parallelism,
+) -> Vec<PathTiming> {
+    let _span = obs::span("pba_batch");
+    obs::counter_add("sta.pba.paths_retimed", rows.len() as u64);
+    parallel::par_map(par, rows, |&r| pba_timing(sta, &paths[r]))
+}
+
+/// [`gba_path_timing_batch`] over `paths[r]` for each `r` in `rows`, in
+/// `rows` order, without copying the paths.
+///
+/// # Panics
+///
+/// Panics if a row is out of range or names a malformed path.
+pub fn gba_path_timing_rows(
+    sta: &Sta,
+    paths: &[Path],
+    rows: &[usize],
+    par: Parallelism,
+) -> Vec<PathTiming> {
+    let _span = obs::span("gba_batch");
+    obs::counter_add("sta.gba.paths_retimed", rows.len() as u64);
+    parallel::par_map(par, rows, |&r| gba_path_timing(sta, &paths[r]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

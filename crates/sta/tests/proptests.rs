@@ -4,7 +4,10 @@ use netlist::{CellId, CellRole, DesignSpec, DriveStrength, Function, GeneratorCo
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sta::{DerateSet, DeratingTable, Sdc, Sta};
+use sta::{
+    gba_path_timing, pba_timing, select_critical_paths, DerateSet, DeratingTable, Path, PathTiming,
+    Sdc, Sta,
+};
 
 prop_compose! {
     /// A random valid derating table with monotone structure: derates
@@ -260,5 +263,171 @@ proptest! {
                 prop_assert!(sta.last_touched().is_empty(), "installs clear last_touched");
             }
         }
+    }
+}
+
+/// A seeded small or D1-class engine, with sparse random weights
+/// installed when `weighted`, and the fixed path selection it monitors.
+fn monitored_engine(d1: bool, seed: u64, weighted: bool, rng: &mut StdRng) -> (Sta, Vec<Path>) {
+    let (netlist, period) = if d1 {
+        let mut config = DesignSpec::D1.config();
+        config.seed = seed;
+        (config.generate(), 2000.0)
+    } else {
+        (GeneratorConfig::small(seed).generate(), 1000.0)
+    };
+    let mut sta =
+        Sta::new(netlist, Sdc::with_period(period), DerateSet::standard()).expect("valid design");
+    if weighted {
+        let n = sta.netlist().num_cells();
+        let w: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.random_bool(0.3) {
+                    rng.random_range(-0.4..0.4)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        sta.set_weights(&w);
+    }
+    let paths = select_critical_paths(&sta, 3, 300, false);
+    (sta, paths)
+}
+
+/// Resizes a random combinational cell, flip-flop or clock buffer up or
+/// down, and names the step; `None` if that class has no such drive.
+fn random_resize(sta: &mut Sta, rng: &mut StdRng) -> Option<String> {
+    let role = [
+        CellRole::Combinational,
+        CellRole::Sequential,
+        CellRole::ClockBuffer,
+    ][rng.random_range(0..3usize)];
+    let up = rng.random_bool(0.5);
+    let lib = sta.netlist().library();
+    let sized = |c: CellId| {
+        let lc = sta.netlist().cell(c).lib_cell;
+        if up {
+            lib.upsized(lc)
+        } else {
+            lib.downsized(lc)
+        }
+    };
+    let candidates: Vec<(CellId, LibCellId)> = sta
+        .netlist()
+        .cells()
+        .filter(|(_, cell)| cell.role == role)
+        .filter_map(|(id, _)| sized(id).map(|to| (id, to)))
+        .collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    let (c, to) = candidates[rng.random_range(0..candidates.len())];
+    sta.resize_cell(c, to).expect("same function");
+    Some(format!("{role:?} {c} {}", if up { "up" } else { "down" }))
+}
+
+/// Whether any cell `path`'s timing reads (its own cells and its launch
+/// and capture clock paths) is in `set`.
+fn reads_any(sta: &Sta, path: &Path, set: &[CellId]) -> bool {
+    path.cells
+        .iter()
+        .chain(sta.clock_path(path.startpoint()))
+        .chain(sta.clock_path(path.endpoint))
+        .any(|c| set.binary_search_by_key(&c.index(), |s| s.index()).is_ok())
+}
+
+/// A path timing's fields, as bits.
+fn path_timing_bits(t: &PathTiming) -> [u64; 6] {
+    [
+        t.arrival.to_bits(),
+        t.required.to_bits(),
+        t.slack.to_bits(),
+        t.depth as u64,
+        t.distance.to_bits(),
+        t.derate.to_bits(),
+    ]
+}
+
+/// Runs 10 random resizes on a monitored engine and calls `check` with
+/// the engine before and after each, the monitored paths and the step's
+/// name.
+fn resize_walk(
+    d1: bool,
+    seed: u64,
+    weighted: bool,
+    steps_seed: u64,
+    mut check: impl FnMut(&Sta, &Sta, &[Path], &str),
+) {
+    let mut rng = StdRng::seed_from_u64(steps_seed);
+    let (mut sta, paths) = monitored_engine(d1, seed, weighted, &mut rng);
+    for k in 0..10 {
+        let before = sta.clone();
+        let Some(step) = random_resize(&mut sta, &mut rng) else {
+            continue;
+        };
+        check(
+            &before,
+            &sta,
+            &paths,
+            &format!("design seed {seed}, step {k} ({step})"),
+        );
+    }
+}
+
+/// Asserts that every monitored path whose cells and clock paths miss
+/// the step's [`Sta::last_changed`] kept its `timing` bit for bit.
+fn assert_missed_paths_keep(
+    timing: fn(&Sta, &Path) -> PathTiming,
+    view: &'static str,
+) -> impl FnMut(&Sta, &Sta, &[Path], &str) {
+    move |before, after, paths, step| {
+        for (i, p) in paths.iter().enumerate() {
+            if reads_any(after, p, after.last_changed()) {
+                continue;
+            }
+            assert_eq!(
+                path_timing_bits(&timing(after, p)),
+                path_timing_bits(&timing(before, p)),
+                "{step}: path {i} misses last_changed but its {view} timing moved"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A path that reads no cell of `last_changed` keeps its GBA timing.
+    #[test]
+    fn paths_missing_last_changed_keep_their_gba_timing(
+        d1_class in 0u32..2, weighted in 0u32..2, seed in 0u64..1000, steps_seed in 0u64..1_000_000
+    ) {
+        resize_walk(d1_class == 1, seed, weighted == 1, steps_seed,
+            assert_missed_paths_keep(gba_path_timing, "GBA"));
+    }
+
+    /// A path that reads no cell of `last_changed` keeps its PBA timing.
+    #[test]
+    fn paths_missing_last_changed_keep_their_pba_timing(
+        d1_class in 0u32..2, weighted in 0u32..2, seed in 0u64..1000, steps_seed in 0u64..1_000_000
+    ) {
+        resize_walk(d1_class == 1, seed, weighted == 1, steps_seed,
+            assert_missed_paths_keep(pba_timing, "PBA"));
+    }
+
+    /// `last_changed` is sorted, duplicate-free and inside `last_touched`.
+    #[test]
+    fn last_changed_is_a_canonical_subset_of_last_touched(
+        d1_class in 0u32..2, weighted in 0u32..2, seed in 0u64..1000, steps_seed in 0u64..1_000_000
+    ) {
+        resize_walk(d1_class == 1, seed, weighted == 1, steps_seed,
+            |_, sta, _, step| {
+                let (changed, touched) = (sta.last_changed(), sta.last_touched());
+                prop_assert!(changed.windows(2).all(|w| w[0].index() < w[1].index()),
+                    "{step}: last_changed is not sorted and duplicate-free");
+                prop_assert!(changed.iter().all(|c| touched.contains(c)),
+                    "{step}: last_changed has a cell outside last_touched");
+            });
     }
 }
