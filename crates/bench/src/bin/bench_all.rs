@@ -115,16 +115,16 @@ fn warm_vs_cold() -> ScenarioResult {
         let mut sta = build_engine(netlist, period).expect("engine");
         let config = MgbaConfig::default();
         let solver = Solver::ScgRs;
-        let (_, cache) = run_mgba_cached(&mut sta, &config, solver);
-        let mut cache = cache.expect("D1 has violating paths");
+        let (_, calibration) = Calibration::fit(&mut sta, &config, solver);
+        let mut calibration = calibration.expect("D1 has violating paths");
 
         // Commit one upsizing of a fitted combinational gate — the same
         // edit the server's `commit` applies before auto-recalibrating.
         // Walk the path back-to-front: a gate near the endpoint has a
         // small fanout cone, so the dirty-row set stays a strict subset
         // and the patch path (not just the warm solve) is exercised.
-        let (victim, up) = cache
-            .paths
+        let (victim, up) = calibration
+            .paths()
             .iter()
             .flat_map(|p| p.cells.iter().rev())
             .find_map(|&c| {
@@ -141,17 +141,17 @@ fn warm_vs_cold() -> ScenarioResult {
             .expect("a resizable fitted gate");
         sta.resize_cell(victim, up)
             .expect("library accepts the upsize");
-        let dirty = sta.last_touched().to_vec();
+        calibration.note_edit(&sta);
 
         let t = Instant::now();
-        let re = recalibrate_warm(&mut sta, &config, solver, &mut cache, &dirty);
+        let re = calibration.refit(&mut sta, &config, solver);
         let warm_ms = t.elapsed().as_secs_f64() * 1e3;
         let (wns_warm, tns_warm) = (sta.wns(), sta.tns());
 
         // Cold leg on the same edited design: full path re-selection,
         // fresh problem assembly, solve from zero.
         let t = Instant::now();
-        let (cold, _) = run_mgba_cached(&mut sta, &config, solver);
+        let (cold, _) = Calibration::fit(&mut sta, &config, solver);
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
         let (wns_cold, tns_cold) = (sta.wns(), sta.tns());
 

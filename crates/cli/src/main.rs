@@ -498,16 +498,6 @@ fn cmd_report(args: &mut Args) -> Result<(), MgbaError> {
     Ok(())
 }
 
-fn parse_solver(name: &str) -> Result<Solver, MgbaError> {
-    Ok(match name {
-        "gd" => Solver::Gd,
-        "scg" => Solver::Scg,
-        "scgrs" => Solver::ScgRs,
-        "cgnr" => Solver::Cgnr,
-        other => return Err(MgbaError::Usage(format!("unknown solver `{other}`"))),
-    })
-}
-
 /// Prints the post-fit summary shared by `fit` and `calibrate`.
 fn print_fit_report(report: &MgbaReport, sta: &Sta) {
     println!("design {}: {}", report.design, report.solver_name);
@@ -544,7 +534,7 @@ fn print_fit_report(report: &MgbaReport, sta: &Sta) {
 fn cmd_fit(args: &mut Args) -> Result<(), MgbaError> {
     let file = args.positional("netlist file")?;
     let period: f64 = args.required_option("--period")?;
-    let solver = parse_solver(&args.option("--solver")?.unwrap_or_else(|| "scgrs".into()))?;
+    let solver = Solver::parse(&args.option("--solver")?.unwrap_or_else(|| "scgrs".into()))?;
     let out = args.option("--out")?;
     args.finish()?;
     let mut sta = build_engine(load_netlist_file(&file)?, period)?;
@@ -572,7 +562,7 @@ fn cmd_calibrate(args: &mut Args) -> Result<(), MgbaError> {
         ),
         None => None,
     };
-    let solver = parse_solver(&args.option("--solver")?.unwrap_or_else(|| "scgrs".into()))?;
+    let solver = Solver::parse(&args.option("--solver")?.unwrap_or_else(|| "scgrs".into()))?;
     let out = args.option("--out")?;
     let qor = args.option("--qor")?;
     args.finish()?;
@@ -586,8 +576,7 @@ fn cmd_calibrate(args: &mut Args) -> Result<(), MgbaError> {
         }
     };
     let mut sta = build_engine(netlist, period)?;
-    // Dogfood the validating builder (equivalent to `MgbaConfig::default`).
-    let config = MgbaConfig::builder().build()?;
+    let config = MgbaConfig::default();
     let report = match &qor {
         Some(path) => {
             let (report, accuracy) = run_mgba_with_accuracy(&mut sta, &config, solver);

@@ -97,16 +97,6 @@ impl Default for MgbaConfig {
 }
 
 impl MgbaConfig {
-    /// A validating builder starting from the paper defaults.
-    ///
-    /// Struct-literal construction keeps working (every field is public);
-    /// the builder adds up-front validation so bad values surface as a
-    /// typed [`MgbaError::Config`] instead of a silent mis-fit deep in
-    /// the solver.
-    pub fn builder() -> MgbaConfigBuilder {
-        MgbaConfigBuilder::default()
-    }
-
     /// Config with a different seed (for repeated stochastic runs).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -125,8 +115,26 @@ impl MgbaConfig {
         Parallelism::new(self.threads)
     }
 
-    /// Checks every invariant the builder enforces. Useful for configs
-    /// assembled by struct literal or deserialized from disk.
+    /// Checks every field's range, so bad values surface as a typed
+    /// [`MgbaError::Config`] instead of a silent mis-fit deep in the
+    /// solver. Useful for configs assembled by struct literal or
+    /// deserialized from disk.
+    ///
+    /// ```
+    /// use mgba::MgbaConfig;
+    ///
+    /// let config = MgbaConfig {
+    ///     epsilon: 0.05,
+    ///     paths_per_endpoint: 10,
+    ///     ..MgbaConfig::default()
+    /// };
+    /// assert!(config.validate().is_ok());
+    /// let bad = MgbaConfig {
+    ///     penalty: -1.0,
+    ///     ..MgbaConfig::default()
+    /// };
+    /// assert!(bad.validate().is_err());
+    /// ```
     pub fn validate(&self) -> Result<(), MgbaError> {
         if self.paths_per_endpoint < 1 {
             return Err(MgbaError::config(
@@ -180,151 +188,6 @@ impl MgbaConfig {
     }
 }
 
-/// Validating builder for [`MgbaConfig`], created by
-/// [`MgbaConfig::builder`]. Unset fields keep the paper defaults;
-/// [`MgbaConfigBuilder::build`] rejects out-of-range values with
-/// [`MgbaError::Config`].
-///
-/// ```
-/// use mgba::MgbaConfig;
-///
-/// let config = MgbaConfig::builder()
-///     .epsilon(0.05)
-///     .paths_per_endpoint(10)
-///     .threads(1)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.epsilon, 0.05);
-/// assert!(MgbaConfig::builder().penalty(-1.0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MgbaConfigBuilder {
-    config: MgbaConfig,
-}
-
-impl MgbaConfigBuilder {
-    /// Critical paths kept per endpoint (`k'`).
-    pub fn paths_per_endpoint(mut self, v: usize) -> Self {
-        self.config.paths_per_endpoint = v;
-        self
-    }
-
-    /// Cap on the total number of selected paths (`m'`).
-    pub fn max_paths(mut self, v: usize) -> Self {
-        self.config.max_paths = v;
-        self
-    }
-
-    /// Keep only timing-violated paths.
-    pub fn only_violating(mut self, v: bool) -> Self {
-        self.config.only_violating = v;
-        self
-    }
-
-    /// Constraint tolerance `ε` of Eq. (5).
-    pub fn epsilon(mut self, v: f64) -> Self {
-        self.config.epsilon = v;
-        self
-    }
-
-    /// Penalty weight `w` of Eq. (6).
-    pub fn penalty(mut self, v: f64) -> Self {
-        self.config.penalty = v;
-        self
-    }
-
-    /// Initial row-selection ratio `r₀` of Algorithm 1.
-    pub fn initial_row_ratio(mut self, v: f64) -> Self {
-        self.config.initial_row_ratio = v;
-        self
-    }
-
-    /// Outer convergence tolerance `ε_u` of Algorithm 1.
-    pub fn outer_tolerance(mut self, v: f64) -> Self {
-        self.config.outer_tolerance = v;
-        self
-    }
-
-    /// Fraction of rows sampled per stochastic gradient step (`k''`).
-    pub fn row_fraction(mut self, v: f64) -> Self {
-        self.config.row_fraction = v;
-        self
-    }
-
-    /// Inner convergence tolerance `ε_c` of Algorithm 2.
-    pub fn inner_tolerance(mut self, v: f64) -> Self {
-        self.config.inner_tolerance = v;
-        self
-    }
-
-    /// Base step size `s` of Algorithm 2.
-    pub fn step_size(mut self, v: f64) -> Self {
-        self.config.step_size = v;
-        self
-    }
-
-    /// Hyperbolic step decay rate.
-    pub fn step_decay(mut self, v: f64) -> Self {
-        self.config.step_decay = v;
-        self
-    }
-
-    /// Iterations between convergence checks.
-    pub fn check_window(mut self, v: usize) -> Self {
-        self.config.check_window = v;
-        self
-    }
-
-    /// Hard iteration cap per solve.
-    pub fn max_iterations(mut self, v: usize) -> Self {
-        self.config.max_iterations = v;
-        self
-    }
-
-    /// RNG seed for row sampling.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.config.seed = v;
-        self
-    }
-
-    /// Worker threads (`0` = process default, `1` = serial).
-    pub fn threads(mut self, v: usize) -> Self {
-        self.config.threads = v;
-        self
-    }
-
-    /// Wall-clock budget per solver stage in milliseconds (`0` = no
-    /// deadline).
-    pub fn solver_timeout_ms(mut self, v: u64) -> Self {
-        self.config.solver_timeout_ms = v;
-        self
-    }
-
-    /// Divergence guard: objective growth factor that aborts a stage.
-    pub fn divergence_factor(mut self, v: f64) -> Self {
-        self.config.divergence_factor = v;
-        self
-    }
-
-    /// Divergence guard: consecutive growing windows that abort a stage.
-    pub fn divergence_streak(mut self, v: usize) -> Self {
-        self.config.divergence_streak = v;
-        self
-    }
-
-    /// Enables/disables the staged solver fallback ladder.
-    pub fn fallback(mut self, v: bool) -> Self {
-        self.config.fallback = v;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<MgbaConfig, MgbaError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,71 +210,30 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_struct_default() {
-        let built = MgbaConfig::builder().build().unwrap();
-        assert_eq!(built, MgbaConfig::default());
-    }
-
-    #[test]
-    fn builder_applies_setters() {
-        let c = MgbaConfig::builder()
-            .paths_per_endpoint(7)
-            .epsilon(0.1)
-            .penalty(2.0)
-            .initial_row_ratio(0.5)
-            .row_fraction(0.1)
-            .seed(42)
-            .threads(2)
-            .build()
-            .unwrap();
-        assert_eq!(c.paths_per_endpoint, 7);
-        assert_eq!(c.epsilon, 0.1);
-        assert_eq!(c.penalty, 2.0);
-        assert_eq!(c.initial_row_ratio, 0.5);
-        assert_eq!(c.row_fraction, 0.1);
-        assert_eq!(c.seed, 42);
-        assert_eq!(c.threads, 2);
-    }
-
-    #[test]
-    fn builder_rejects_out_of_range_values() {
+    fn validate_rejects_out_of_range_values() {
         use crate::error::MgbaError;
-        let cases: Vec<(&'static str, MgbaConfigBuilder)> = vec![
-            ("epsilon", MgbaConfig::builder().epsilon(-0.1)),
-            ("epsilon", MgbaConfig::builder().epsilon(f64::NAN)),
-            ("penalty", MgbaConfig::builder().penalty(0.0)),
-            ("penalty", MgbaConfig::builder().penalty(f64::INFINITY)),
-            (
-                "initial_row_ratio",
-                MgbaConfig::builder().initial_row_ratio(0.0),
-            ),
-            (
-                "initial_row_ratio",
-                MgbaConfig::builder().initial_row_ratio(1.5),
-            ),
-            ("row_fraction", MgbaConfig::builder().row_fraction(-0.2)),
-            ("row_fraction", MgbaConfig::builder().row_fraction(2.0)),
-            (
-                "paths_per_endpoint",
-                MgbaConfig::builder().paths_per_endpoint(0),
-            ),
-            ("step_size", MgbaConfig::builder().step_size(0.0)),
-            ("check_window", MgbaConfig::builder().check_window(0)),
-            (
-                "divergence_factor",
-                MgbaConfig::builder().divergence_factor(1.0),
-            ),
-            (
-                "divergence_factor",
-                MgbaConfig::builder().divergence_factor(f64::NAN),
-            ),
-            (
-                "divergence_streak",
-                MgbaConfig::builder().divergence_streak(0),
-            ),
+        /// Moves one field of a default config out of range.
+        type Breaker = fn(&mut MgbaConfig);
+        let cases: [(&str, Breaker); 14] = [
+            ("epsilon", |c| c.epsilon = -0.1),
+            ("epsilon", |c| c.epsilon = f64::NAN),
+            ("penalty", |c| c.penalty = 0.0),
+            ("penalty", |c| c.penalty = f64::INFINITY),
+            ("initial_row_ratio", |c| c.initial_row_ratio = 0.0),
+            ("initial_row_ratio", |c| c.initial_row_ratio = 1.5),
+            ("row_fraction", |c| c.row_fraction = -0.2),
+            ("row_fraction", |c| c.row_fraction = 2.0),
+            ("paths_per_endpoint", |c| c.paths_per_endpoint = 0),
+            ("step_size", |c| c.step_size = 0.0),
+            ("check_window", |c| c.check_window = 0),
+            ("divergence_factor", |c| c.divergence_factor = 1.0),
+            ("divergence_factor", |c| c.divergence_factor = f64::NAN),
+            ("divergence_streak", |c| c.divergence_streak = 0),
         ];
-        for (field, builder) in cases {
-            match builder.build() {
+        for (field, break_field) in cases {
+            let mut config = MgbaConfig::default();
+            break_field(&mut config);
+            match config.validate() {
                 Err(MgbaError::Config { field: f, .. }) => {
                     assert_eq!(f, field, "wrong field reported")
                 }
@@ -433,13 +255,14 @@ mod tests {
         let c = MgbaConfig::default();
         assert_eq!(c.solver_timeout_ms, 0, "no deadline by default");
         assert!(c.fallback);
-        let c = MgbaConfig::builder()
-            .solver_timeout_ms(250)
-            .divergence_factor(50.0)
-            .divergence_streak(2)
-            .fallback(false)
-            .build()
-            .unwrap();
+        let c = MgbaConfig {
+            solver_timeout_ms: 250,
+            divergence_factor: 50.0,
+            divergence_streak: 2,
+            fallback: false,
+            ..MgbaConfig::default()
+        };
+        assert!(c.validate().is_ok());
         assert_eq!(c.solver_timeout_ms, 250);
         assert_eq!(c.divergence_factor, 50.0);
         assert_eq!(c.divergence_streak, 2);

@@ -2,7 +2,7 @@
 //!
 //! Every fallible surface of the mGBA toolchain funnels into this enum:
 //! parsing (Liberty, Verilog, native netlist, weights), configuration
-//! validation ([`crate::config::MgbaConfigBuilder`]), solver failures,
+//! validation ([`crate::MgbaConfig::validate`]), solver failures,
 //! file I/O, and command-line usage. The variants keep their underlying
 //! causes (`source()` chains to the original parse error), so callers can
 //! match on the broad category and still drill down.

@@ -21,6 +21,9 @@
 //! 5. **Apply** the weights to the timing engine
 //!    ([`sta::Sta::set_weights`]) and report accuracy ([`metrics`]).
 //!
+//! A [`Calibration`] keeps that state to refit warm after committed
+//! edits, re-timing only the rows the edits invalidated.
+//!
 //! # Example
 //!
 //! ```
@@ -48,11 +51,11 @@ pub mod select;
 pub mod solver;
 pub mod weights_io;
 
-pub use config::{MgbaConfig, MgbaConfigBuilder};
+pub use config::MgbaConfig;
 pub use error::{MgbaError, ParseError};
 pub use load::{auto_period, build_engine, load_design_or_file, load_netlist_file, parse_design};
 pub use metrics::{PassRatio, PASS_ABS_TOL, PASS_REL_TOL};
-pub use problem::{FitProblem, RowIndex};
+pub use problem::FitProblem;
 pub use report::{AccuracyReport, EndpointAccuracy, StageAccuracy};
 pub use select::{select_paths, Selection, SelectionScheme};
 pub use solver::{
@@ -66,33 +69,31 @@ pub use weights_io::{
 /// One-import facade for the select → fit → solve → fold-back pipeline.
 ///
 /// Brings in everything a typical calibration driver touches: the engine
-/// ([`Sta`]) and its inputs, the fit configuration and its
-/// builder, the solver stack, and the typed error. Flow-level types
-/// (`FlowConfig`, `run_flow`) live in `optim::prelude`, which re-exports
-/// this one.
+/// ([`Sta`]) and its inputs, the fit configuration, the solver stack, the
+/// [`Calibration`] that refits after edits, and the typed error.
+/// Flow-level types (`FlowConfig`, `run_flow`) live in `optim::prelude`,
+/// which re-exports this one.
 pub mod prelude {
-    pub use crate::config::{MgbaConfig, MgbaConfigBuilder};
+    pub use crate::config::MgbaConfig;
     pub use crate::error::{MgbaError, ParseError};
     pub use crate::load::{
         auto_period, build_engine, load_design_or_file, load_netlist_file, parse_design,
     };
     pub use crate::metrics::PassRatio;
-    pub use crate::problem::{FitProblem, RowIndex};
+    pub use crate::problem::FitProblem;
     pub use crate::report::AccuracyReport;
     pub use crate::select::{select_paths, Selection, SelectionScheme};
     pub use crate::solver::{FallbackStage, SolveResult, Solver, WarmStart};
     pub use crate::weights_io::{
         atomic_write_text, parse_weights, read_weights_file, write_weights, write_weights_file,
     };
-    pub use crate::{
-        recalibrate_warm, run_mgba, run_mgba_cached, run_mgba_with_accuracy, CalibrationCache,
-        MgbaReport, RecalibrateReport,
-    };
+    pub use crate::{run_mgba, run_mgba_with_accuracy, Calibration, MgbaReport, RecalibrateReport};
     pub use netlist::{DesignSpec, GeneratorConfig, Netlist};
     pub use sta::{DerateSet, Sdc, Sta};
 }
 
 use netlist::CellId;
+use problem::RowIndex;
 use serde::{Deserialize, Serialize};
 use sta::{gba_path_timing_batch, pba_timing_batch, Path, Sta};
 use std::time::Duration;
@@ -161,54 +162,137 @@ pub fn run_mgba_with_accuracy(
     (report, accuracy)
 }
 
-/// Like [`run_mgba`], but also hands back the calibration state an
-/// incremental driver needs for warm refits ([`recalibrate_warm`]):
-/// the selected paths with their cell→rows index, the assembled fit
-/// problem (with its cached transpose), and the fitted solution `x*`.
+/// A calibration that keeps serving as committed edits land.
 ///
-/// `None` when there was nothing to calibrate (no candidate paths) or
-/// the fit-matrix build was fault-injected away — a driver must fall
-/// back to a cold [`run_mgba`] on the next change in that case.
-pub fn run_mgba_cached(
-    sta: &mut Sta,
-    config: &MgbaConfig,
-    solver: Solver,
-) -> (MgbaReport, Option<CalibrationCache>) {
-    let (report, _, fitted) = run_mgba_inner(sta, config, solver);
-    let cache = fitted.map(|(paths, fit, x)| CalibrationCache {
-        index: RowIndex::build(sta, &paths),
-        paths,
-        fit,
-        x,
-        step_offset: report.iterations,
-    });
-    (report, cache)
-}
-
-/// Reusable state of a completed calibration, for warm incremental
-/// refits after committed netlist edits.
+/// [`Calibration::fit`] runs the cold pipeline of [`run_mgba`] and keeps
+/// its state; after each committed edit [`Calibration::note_edit`]
+/// folds the edit's invalidation cone into the dirty set, and
+/// [`Calibration::refit`] patches only the rows it hits and warm-starts
+/// the solver from `x*`. The path set is frozen at calibration time: a
+/// refit re-times these paths on the edited design rather than
+/// re-selecting (a fresh [`Calibration::fit`] is the escape hatch for
+/// edits large enough to change criticality).
 #[derive(Debug, Clone)]
-pub struct CalibrationCache {
-    /// The selected paths; row `i` of `fit` models `paths[i]`. The path
-    /// set is frozen at calibration time — a warm refit re-times these
-    /// paths on the edited design rather than re-selecting (the `full`
-    /// escape hatch exists for edits large enough to change criticality).
-    pub paths: Vec<Path>,
-    /// Which rows of `fit` read each cell's timing, built once with the
-    /// path set.
-    pub index: RowIndex,
-    /// The assembled fit problem, patched in place by warm refits.
-    pub fit: FitProblem,
-    /// The fitted column-space solution `x*` of the most recent solve.
-    pub x: Vec<f64>,
-    /// Cumulative solver iterations behind `x` — warm refits resume the
+pub struct Calibration {
+    /// Row `i` of `fit` models `paths[i]`.
+    paths: Vec<Path>,
+    /// Which rows of `fit` read each cell's timing.
+    index: RowIndex,
+    /// The assembled fit problem, patched in place by refits.
+    fit: FitProblem,
+    /// The column-space solution `x*` of the most recent solve.
+    x: Vec<f64>,
+    /// Cumulative solver iterations behind `x`: refits resume the
     /// stochastic solvers' step-decay schedule here, so a near-optimal
     /// start is refined with converged-scale steps instead of being
     /// knocked away by fresh full-size ones.
-    pub step_offset: usize,
+    step_offset: usize,
+    /// Cells invalidated by the edits noted since the last refit,
+    /// ascending by index.
+    dirty: Vec<CellId>,
 }
 
-/// Summary of one incremental warm recalibration ([`recalibrate_warm`]).
+impl Calibration {
+    /// Runs [`run_mgba`] and keeps the state later refits need.
+    ///
+    /// The calibration is `None` when there was nothing to calibrate (no
+    /// candidate paths) or the fit-matrix build was fault-injected away:
+    /// a driver must fit cold again on the next change in that case.
+    pub fn fit(sta: &mut Sta, config: &MgbaConfig, solver: Solver) -> (MgbaReport, Option<Self>) {
+        let (report, _, fitted) = run_mgba_inner(sta, config, solver);
+        let calibration = fitted.map(|(paths, fit, x)| Calibration {
+            index: RowIndex::build(sta, &paths),
+            paths,
+            fit,
+            x,
+            step_offset: report.iterations,
+            dirty: Vec::new(),
+        });
+        (report, calibration)
+    }
+
+    /// Folds a committed edit's invalidation cone, [`Sta::last_touched`],
+    /// into the dirty set the next [`Self::refit`] patches. Call it right
+    /// after each edit: weight installs clear `last_touched`.
+    ///
+    /// The cone may be captured with weights still applied: the sweep
+    /// re-evaluates a superset of the cells whose weight-independent
+    /// quantities moved (slews change only at re-characterized seeds,
+    /// gate delays only at seeds and their fanout, and clock arrivals are
+    /// weight-independent), so the set is conservative for the
+    /// zero-weight fit the refit runs.
+    pub fn note_edit(&mut self, sta: &Sta) {
+        self.dirty.extend_from_slice(sta.last_touched());
+        self.dirty.sort_unstable_by_key(|c| c.index());
+        self.dirty.dedup();
+    }
+
+    /// Incrementally recalibrates after the noted edits: patches only the
+    /// fit-problem rows the dirty set invalidates (and empties the set),
+    /// warm-starts `solver` from `x*`, and installs the refreshed weights.
+    ///
+    /// The objective is convex, so the warm solve converges to the same
+    /// optimum a cold solve would (within solver tolerance), just in
+    /// fewer iterations when the edits were local. The fallback ladder
+    /// still judges the warm result against the zero vector, so a
+    /// pathological warm start can only demote, never regress below
+    /// identity.
+    pub fn refit(
+        &mut self,
+        sta: &mut Sta,
+        config: &MgbaConfig,
+        solver: Solver,
+    ) -> RecalibrateReport {
+        let _span = obs::span("recalibrate");
+        // The fit always runs against original GBA.
+        sta.clear_weights();
+        let dirty = std::mem::take(&mut self.dirty);
+        let rows = self.rows_reading(&dirty);
+        self.fit.patch_rows(sta, &self.paths, &rows);
+        obs::counter_add("mgba.recalibrate.warm", 1);
+        obs::counter_add("mgba.recalibrate.dirty_rows", rows.len() as u64);
+        let mse_before = self.fit.mse(&self.x);
+        let (result, fallback) = {
+            let _span = obs::span("solve");
+            let warm = solver::WarmStart::resumed(&self.x, self.step_offset);
+            solver::solve_with_fallback_from(solver, &self.fit, config, Some(warm))
+        };
+        self.x = result.x;
+        self.step_offset = self.step_offset.saturating_add(result.iterations);
+        let weights = {
+            let _span = obs::span("fold_back");
+            self.fit.to_cell_weights(&self.x, sta.netlist().num_cells())
+        };
+        sta.set_weights(&weights);
+        RecalibrateReport {
+            dirty_rows: rows.len(),
+            total_rows: self.fit.num_paths(),
+            iterations: result.iterations,
+            rows_touched: result.rows_touched,
+            converged: result.converged,
+            fallback,
+            solver_fault: result.fault,
+            mse_before,
+            mse_after: self.fit.mse(&self.x),
+        }
+    }
+
+    /// The calibrated paths; row `i` of the fit models `paths()[i]`.
+    pub fn paths(&self) -> &[Path] {
+        &self.paths
+    }
+
+    /// The rows whose timing reads any of `cells`, ascending. Row `i`
+    /// reads the cells of `paths()[i]` and of its launch and capture
+    /// clock paths (the CRPR credit reads clock-network gate delays) and
+    /// nothing else, so a change confined to other cells leaves its
+    /// timing bit-identical.
+    pub fn rows_reading(&self, cells: &[CellId]) -> Vec<usize> {
+        self.fit.dirty_rows(&self.index, cells)
+    }
+}
+
+/// Summary of one incremental warm recalibration ([`Calibration::refit`]).
 ///
 /// Deliberately carries no wall-clock field: everything here is a
 /// deterministic function of the design and the config, so it is safe to
@@ -234,66 +318,6 @@ pub struct RecalibrateReport {
     pub mse_before: f64,
     /// Fit-space modelling error after the warm solve.
     pub mse_after: f64,
-}
-
-/// Incrementally recalibrates after committed netlist edits: patches only
-/// the fit-problem rows invalidated by `dirty_cells`, warm-starts the
-/// solver from the cached `x*`, and installs the refreshed weights.
-///
-/// `dirty_cells` is the union of [`Sta::last_touched`] captured
-/// *immediately after each committed edit* (weight installs clear it).
-/// The capture may run with weights still applied: the forward pass
-/// re-evaluates a superset of the cells whose weight-independent
-/// quantities moved — slews change only at re-characterized seeds, gate
-/// delays only at seeds and their fanout, and clock arrivals are
-/// weight-independent — so the set is conservative for the zero-weight
-/// fit this function runs.
-///
-/// The objective is convex, so the warm solve converges to the same
-/// optimum a cold solve would (within solver tolerance) — just in fewer
-/// iterations when the edit was local. The fallback ladder still judges
-/// the warm result against the zero vector, so a pathological warm start
-/// can only demote, never regress below identity.
-pub fn recalibrate_warm(
-    sta: &mut Sta,
-    config: &MgbaConfig,
-    solver: Solver,
-    cache: &mut CalibrationCache,
-    dirty_cells: &[CellId],
-) -> RecalibrateReport {
-    let _span = obs::span("recalibrate");
-    // The fit always runs against original GBA.
-    sta.clear_weights();
-    let rows = cache.fit.dirty_rows(&cache.index, dirty_cells);
-    cache.fit.patch_rows(sta, &cache.paths, &rows);
-    obs::counter_add("mgba.recalibrate.warm", 1);
-    obs::counter_add("mgba.recalibrate.dirty_rows", rows.len() as u64);
-    let mse_before = cache.fit.mse(&cache.x);
-    let (result, fallback) = {
-        let _span = obs::span("solve");
-        let warm = solver::WarmStart::resumed(&cache.x, cache.step_offset);
-        solver::solve_with_fallback_from(solver, &cache.fit, config, Some(warm))
-    };
-    cache.x = result.x;
-    cache.step_offset = cache.step_offset.saturating_add(result.iterations);
-    let weights = {
-        let _span = obs::span("fold_back");
-        cache
-            .fit
-            .to_cell_weights(&cache.x, sta.netlist().num_cells())
-    };
-    sta.set_weights(&weights);
-    RecalibrateReport {
-        dirty_rows: rows.len(),
-        total_rows: cache.fit.num_paths(),
-        iterations: result.iterations,
-        rows_touched: result.rows_touched,
-        converged: result.converged,
-        fallback,
-        solver_fault: result.fault,
-        mse_before,
-        mse_after: cache.fit.mse(&cache.x),
-    }
 }
 
 /// One fitted path's slack under the three timing views, plus the
@@ -335,39 +359,19 @@ fn run_mgba_inner(
     };
     obs::counter_add("mgba.paths_selected", selection.paths.len() as u64);
     let design = sta.netlist().name().to_owned();
-    if selection.paths.is_empty() {
-        let report = MgbaReport {
-            design,
-            solver_name: solver.paper_name().to_owned(),
-            num_paths: 0,
-            num_gates: 0,
-            coverage: 0.0,
-            mse_before: 0.0,
-            mse_after: 0.0,
-            pass_before: PassRatio {
-                passing: 0,
-                total: 0,
-            },
-            pass_after: PassRatio {
-                passing: 0,
-                total: 0,
-            },
-            iterations: 0,
-            solve_time: Duration::ZERO,
-            rows_touched: 0,
-            converged: true,
-            fallback: FallbackStage::Primary,
-            solver_fault: None,
-            weights: vec![0.0; sta.netlist().num_cells()],
-        };
-        return (report, Vec::new(), None);
-    }
-
-    if let Some(fault) = faultinject::fire("fit.build") {
-        // An injected fit-matrix failure degrades to identity weights
-        // (raw GBA) instead of erroring: this is the "recovery + recorded
-        // fallback stage" path of the fault model.
-        obs::counter_add("mgba.fallback.identity", 1);
+    // With no candidate paths, or an injected fit-matrix failure, the
+    // engine stays at original GBA. The failure degrades to identity
+    // weights instead of erroring: this is the "recovery + recorded
+    // fallback stage" path of the fault model.
+    let fault = if selection.paths.is_empty() {
+        None
+    } else {
+        faultinject::fire("fit.build")
+    };
+    if selection.paths.is_empty() || fault.is_some() {
+        if fault.is_some() {
+            obs::counter_add("mgba.fallback.identity", 1);
+        }
         let report = MgbaReport {
             design,
             solver_name: solver.paper_name().to_owned(),
@@ -387,9 +391,12 @@ fn run_mgba_inner(
             iterations: 0,
             solve_time: Duration::ZERO,
             rows_touched: 0,
-            converged: false,
-            fallback: FallbackStage::Identity,
-            solver_fault: Some(format!("failpoint `fit.build`: injected {fault:?}")),
+            converged: fault.is_none(),
+            fallback: match fault {
+                Some(_) => FallbackStage::Identity,
+                None => FallbackStage::Primary,
+            },
+            solver_fault: fault.map(|f| format!("failpoint `fit.build`: injected {f:?}")),
             weights: vec![0.0; sta.netlist().num_cells()],
         };
         return (report, Vec::new(), None);
@@ -582,7 +589,7 @@ mod tests {
         assert!(report.weights.iter().all(|w| *w == 0.0));
     }
 
-    /// First combinational gate on a cached path that the library can
+    /// First combinational gate on a calibrated path that the library can
     /// upsize, with its upsized variant.
     fn resizable_on_paths(sta: &Sta, paths: &[Path]) -> (CellId, netlist::LibCellId) {
         paths
@@ -606,16 +613,16 @@ mod tests {
     fn warm_recalibration_tracks_a_cold_refit() {
         let mut sta = tight_engine(117);
         let config = MgbaConfig::default();
-        let (report, cache) = run_mgba_cached(&mut sta, &config, Solver::Cgnr);
+        let (report, cal) = Calibration::fit(&mut sta, &config, Solver::Cgnr);
         assert!(report.num_paths > 0);
-        let mut cache = cache.expect("violating design yields a cache");
+        let mut cal = cal.expect("violating design yields a calibration");
 
-        let (victim, up) = resizable_on_paths(&sta, &cache.paths);
+        let (victim, up) = resizable_on_paths(&sta, cal.paths());
         sta.resize_cell(victim, up).unwrap();
-        let dirty = sta.last_touched().to_vec();
-        assert!(!dirty.is_empty());
+        assert!(!sta.last_touched().is_empty());
+        cal.note_edit(&sta);
 
-        let re = recalibrate_warm(&mut sta, &config, Solver::Cgnr, &mut cache, &dirty);
+        let re = cal.refit(&mut sta, &config, Solver::Cgnr);
         assert!(re.dirty_rows > 0, "a fitted gate was resized");
         assert!(re.dirty_rows <= re.total_rows);
         assert_eq!(re.total_rows, report.num_paths);
@@ -637,13 +644,13 @@ mod tests {
         sta.clear_weights();
         let fresh = FitProblem::build_par(
             &sta,
-            &cache.paths,
+            cal.paths(),
             config.epsilon,
             config.penalty,
             config.parallelism(),
         );
         let (cold, _) = solve_with_fallback(Solver::Cgnr, &fresh, &config);
-        let warm_obj = fresh.objective(&cache.x);
+        let warm_obj = fresh.objective(&cal.x);
         let slack = cold.objective.abs() * 0.05 + 1e-6;
         assert!(
             (warm_obj - cold.objective).abs() <= slack,
@@ -657,15 +664,15 @@ mod tests {
     fn recalibrate_with_no_dirty_cells_patches_nothing() {
         let mut sta = tight_engine(118);
         let config = MgbaConfig::default();
-        let (_, cache) = run_mgba_cached(&mut sta, &config, Solver::Cgnr);
-        let mut cache = cache.expect("violating design yields a cache");
-        let x_before = cache.x.clone();
-        let re = recalibrate_warm(&mut sta, &config, Solver::Cgnr, &mut cache, &[]);
+        let (_, cal) = Calibration::fit(&mut sta, &config, Solver::Cgnr);
+        let mut cal = cal.expect("violating design yields a calibration");
+        let x_before = cal.x.clone();
+        let re = cal.refit(&mut sta, &config, Solver::Cgnr);
         assert_eq!(re.dirty_rows, 0);
         assert!(re.mse_after <= re.mse_before + 1e-12);
         // The problem is unchanged and the warm start already optimal, so
         // the refit stays at (or within tolerance of) the same solution.
-        let drift: f64 = cache
+        let drift: f64 = cal
             .x
             .iter()
             .zip(&x_before)
@@ -682,9 +689,9 @@ mod tests {
             only_violating: true,
             ..MgbaConfig::default()
         };
-        let (report, cache) = run_mgba_cached(&mut sta, &config, Solver::Cgnr);
+        let (report, cal) = Calibration::fit(&mut sta, &config, Solver::Cgnr);
         assert_eq!(report.num_paths, 0);
-        assert!(cache.is_none());
+        assert!(cal.is_none());
     }
 
     #[test]
@@ -699,14 +706,14 @@ mod tests {
                 threads,
                 ..MgbaConfig::default()
             };
-            let (_, cache) = run_mgba_cached(&mut sta, &config, Solver::ScgRs);
-            let mut cache = cache.expect("violating design yields a cache");
-            let (victim, up) = resizable_on_paths(&sta, &cache.paths);
+            let (_, cal) = Calibration::fit(&mut sta, &config, Solver::ScgRs);
+            let mut cal = cal.expect("violating design yields a calibration");
+            let (victim, up) = resizable_on_paths(&sta, cal.paths());
             sta.resize_cell(victim, up).unwrap();
-            let dirty = sta.last_touched().to_vec();
-            let re = recalibrate_warm(&mut sta, &config, Solver::ScgRs, &mut cache, &dirty);
+            cal.note_edit(&sta);
+            let re = cal.refit(&mut sta, &config, Solver::ScgRs);
             assert!(re.dirty_rows > 0);
-            let x_bits: Vec<u64> = cache.x.iter().map(|v| v.to_bits()).collect();
+            let x_bits: Vec<u64> = cal.x.iter().map(|v| v.to_bits()).collect();
             let w_bits: Vec<u64> = (0..sta.netlist().num_cells())
                 .map(|i| sta.gate_weight(CellId::new(i)).to_bits())
                 .collect();
@@ -723,29 +730,147 @@ mod tests {
         for seed in [121u64, 122, 123] {
             let mut sta = tight_engine(seed);
             let config = MgbaConfig::default();
-            let (_, cache) = run_mgba_cached(&mut sta, &config, Solver::Cgnr);
-            let mut cache = cache.expect("violating design yields a cache");
-            let (victim, up) = resizable_on_paths(&sta, &cache.paths);
+            let (_, cal) = Calibration::fit(&mut sta, &config, Solver::Cgnr);
+            let mut cal = cal.expect("violating design yields a calibration");
+            let (victim, up) = resizable_on_paths(&sta, cal.paths());
             sta.resize_cell(victim, up).unwrap();
-            let dirty = sta.last_touched().to_vec();
-            recalibrate_warm(&mut sta, &config, Solver::Cgnr, &mut cache, &dirty);
+            cal.note_edit(&sta);
+            cal.refit(&mut sta, &config, Solver::Cgnr);
 
             sta.clear_weights();
             let fresh = FitProblem::build_par(
                 &sta,
-                &cache.paths,
+                cal.paths(),
                 config.epsilon,
                 config.penalty,
                 config.parallelism(),
             );
             let (cold, _) = solve_with_fallback(Solver::Cgnr, &fresh, &config);
-            let warm_obj = fresh.objective(&cache.x);
+            let warm_obj = fresh.objective(&cal.x);
             let slack = cold.objective.abs() * 0.05 + 1e-6;
             assert!(
                 (warm_obj - cold.objective).abs() <= slack,
                 "seed {seed}: warm {warm_obj} vs cold {} objective",
                 cold.objective
             );
+        }
+    }
+
+    /// One refit's outcome: `x*`, the weights installed on the engine as
+    /// bit patterns, and the report. `Debug` prints every float at its
+    /// shortest round-trip form, so equal report strings mean equal bits.
+    struct RefitBits {
+        x: Vec<u64>,
+        weights: Vec<u64>,
+        report: String,
+    }
+
+    impl RefitBits {
+        fn new(x: &[f64], sta: &Sta, report: &RecalibrateReport) -> Self {
+            RefitBits {
+                x: x.iter().map(|v| v.to_bits()).collect(),
+                weights: (0..sta.netlist().num_cells())
+                    .map(|i| sta.gate_weight(CellId::new(i)).to_bits())
+                    .collect(),
+                report: format!("{report:?}"),
+            }
+        }
+    }
+
+    /// Takes a seeded design through ten random committed up/down-sizes
+    /// of fitted cells. The calibration notes every edit and refits after
+    /// every second one. Beside it, an oracle chain built from the fit's
+    /// parts re-derives each refit: `dirty_rows` over the sorted union of
+    /// the edits' `last_touched`, `patch_rows`, then a warm solve resumed
+    /// at the step offset. Returns (calibration, oracle) per refit.
+    fn refits_beside_their_oracle() -> Vec<(RefitBits, RefitBits)> {
+        use rand::rngs::StdRng;
+        use rand::seq::IndexedRandom;
+        use rand::{Rng, SeedableRng};
+        let config = MgbaConfig::default();
+        let solver = Solver::ScgRs;
+        let mut sta = tight_engine(124);
+        let (_, cal) = Calibration::fit(&mut sta, &config, solver);
+        let mut cal = cal.expect("violating design yields a calibration");
+        let (paths, index) = (cal.paths.clone(), cal.index.clone());
+        let (mut fit, mut x, mut offset) = (cal.fit.clone(), cal.x.clone(), cal.step_offset);
+        let mut union: Vec<CellId> = Vec::new();
+        let mut rng = StdRng::seed_from_u64(0xCA1);
+        let mut refits = Vec::new();
+        for edit in 0..10 {
+            let (cell, target) = loop {
+                let c = *fit.columns().choose(&mut rng).expect("fitted cells");
+                let lib = sta.netlist().library();
+                let current = sta.netlist().cell(c).lib_cell;
+                let target = if rng.random_bool(0.5) {
+                    lib.upsized(current)
+                } else {
+                    lib.downsized(current)
+                };
+                if let Some(t) = target {
+                    break (c, t);
+                }
+            };
+            sta.resize_cell(cell, target).unwrap();
+            cal.note_edit(&sta);
+            union.extend_from_slice(sta.last_touched());
+            if edit % 2 == 0 {
+                continue;
+            }
+            let mut twin = sta.clone();
+            let re = cal.refit(&mut sta, &config, solver);
+            let refit = RefitBits::new(&cal.x, &sta, &re);
+
+            twin.clear_weights();
+            union.sort_unstable_by_key(|c| c.index());
+            union.dedup();
+            let rows = fit.dirty_rows(&index, &union);
+            union.clear();
+            fit.patch_rows(&twin, &paths, &rows);
+            let mse_before = fit.mse(&x);
+            let warm = WarmStart::resumed(&x, offset);
+            let (result, fallback) = solve_with_fallback_from(solver, &fit, &config, Some(warm));
+            x = result.x;
+            offset += result.iterations;
+            twin.set_weights(&fit.to_cell_weights(&x, twin.netlist().num_cells()));
+            let oracle = RecalibrateReport {
+                dirty_rows: rows.len(),
+                total_rows: fit.num_paths(),
+                iterations: result.iterations,
+                rows_touched: result.rows_touched,
+                converged: result.converged,
+                fallback,
+                solver_fault: result.fault,
+                mse_before,
+                mse_after: fit.mse(&x),
+            };
+            refits.push((refit, RefitBits::new(&x, &twin, &oracle)));
+        }
+        assert_eq!(refits.len(), 5, "a refit after every second edit");
+        refits
+    }
+
+    #[test]
+    fn calibration_refits_reach_the_oracle_solution() {
+        for (k, (cal, oracle)) in refits_beside_their_oracle().iter().enumerate() {
+            assert!(cal.x == oracle.x, "refit {k}: x* differs from the oracle's");
+        }
+    }
+
+    #[test]
+    fn calibration_refits_install_the_oracle_weights() {
+        for (k, (cal, oracle)) in refits_beside_their_oracle().iter().enumerate() {
+            assert!(
+                cal.weights == oracle.weights,
+                "refit {k}: installed weights differ from the oracle's"
+            );
+        }
+    }
+
+    #[test]
+    fn calibration_refits_report_what_the_oracle_reports() {
+        for (k, (cal, oracle)) in refits_beside_their_oracle().iter().enumerate() {
+            assert_eq!(cal.report, oracle.report, "refit {k}: reports differ");
         }
     }
 

@@ -401,7 +401,7 @@ impl FitProblem {
     /// # Panics
     ///
     /// Panics if `index` covers a different row count.
-    pub fn dirty_rows(&self, index: &RowIndex, dirty_cells: &[CellId]) -> Vec<usize> {
+    pub(crate) fn dirty_rows(&self, index: &RowIndex, dirty_cells: &[CellId]) -> Vec<usize> {
         assert_eq!(
             index.num_rows,
             self.num_paths(),
@@ -435,7 +435,7 @@ impl FitProblem {
     /// row's weighted cell carries a non-zero weight (patching, like
     /// building, runs against original GBA), or if a row's sparsity
     /// pattern changed.
-    pub fn patch_rows(&mut self, sta: &Sta, paths: &[Path], rows: &[usize]) {
+    pub(crate) fn patch_rows(&mut self, sta: &Sta, paths: &[Path], rows: &[usize]) {
         let _span = obs::span("patch");
         assert_eq!(
             paths.len(),
@@ -514,7 +514,7 @@ fn weighted_cells<'a>(p: &'a Path, sta: &'a Sta) -> impl Iterator<Item = &'a Cel
 /// (the CRPR credit reads clock-cell delays). Built once per selected
 /// path set; [`FitProblem::dirty_rows`] answers from it.
 #[derive(Debug, Clone)]
-pub struct RowIndex {
+pub(crate) struct RowIndex {
     /// `rows[starts[c]..starts[c + 1]]` are the rows reading cell `c`,
     /// ascending.
     starts: Vec<u32>,
@@ -529,7 +529,7 @@ impl RowIndex {
     /// # Panics
     ///
     /// Panics if there are `u32::MAX` paths or more.
-    pub fn build(sta: &Sta, paths: &[Path]) -> Self {
+    pub(crate) fn build(sta: &Sta, paths: &[Path]) -> Self {
         assert!(paths.len() < u32::MAX as usize, "row ids fit u32");
         let n = sta.netlist().num_cells();
         // Two passes, counting then filling; `seen` keeps a cell that

@@ -25,6 +25,7 @@ pub mod sampling;
 pub mod scg;
 
 use crate::config::MgbaConfig;
+use crate::error::MgbaError;
 use crate::problem::FitProblem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,15 +47,38 @@ pub enum Solver {
     Cgnr,
 }
 
+/// Every solver, in declaration order, with its short name (the CLI
+/// `--solver` value and the server's `solver` field) and its paper-style
+/// name.
+const NAMES: [(Solver, &str, &str); 4] = [
+    (Solver::Gd, "gd", "GD + w/o RS"),
+    (Solver::Scg, "scg", "SCG + w/o RS"),
+    (Solver::ScgRs, "scgrs", "SCG + RS"),
+    (Solver::Cgnr, "cgnr", "CGNR (reference)"),
+];
+
 impl Solver {
     /// Paper-style display name.
     pub fn paper_name(self) -> &'static str {
-        match self {
-            Solver::Gd => "GD + w/o RS",
-            Solver::Scg => "SCG + w/o RS",
-            Solver::ScgRs => "SCG + RS",
-            Solver::Cgnr => "CGNR (reference)",
-        }
+        NAMES[self as usize].2
+    }
+
+    /// The solver a short name (`gd`, `scg`, `scgrs`, `cgnr`) names.
+    ///
+    /// # Errors
+    ///
+    /// [`MgbaError::Usage`] for any other name.
+    pub fn parse(name: &str) -> Result<Self, MgbaError> {
+        NAMES
+            .iter()
+            .find(|n| n.1 == name)
+            .map(|n| n.0)
+            .ok_or_else(|| MgbaError::Usage(format!("unknown solver `{name}`")))
+    }
+
+    /// The solver whose [`Self::paper_name`] is `name`, if any.
+    pub fn from_paper_name(name: &str) -> Option<Self> {
+        NAMES.iter().find(|n| n.2 == name).map(|n| n.0)
     }
 
     /// Runs this solver on `problem` from a zero start.
@@ -395,6 +419,17 @@ mod tests {
     fn solver_names() {
         assert_eq!(Solver::Gd.paper_name(), "GD + w/o RS");
         assert_eq!(Solver::ScgRs.to_string(), "SCG + RS");
+        for (i, &(solver, short, paper)) in NAMES.iter().enumerate() {
+            assert_eq!(
+                solver as usize, i,
+                "{short}: table out of declaration order"
+            );
+            assert_eq!(Solver::parse(short).unwrap(), solver);
+            assert_eq!(Solver::from_paper_name(paper), Some(solver));
+        }
+        let e = Solver::parse("bogus").unwrap_err();
+        assert_eq!(e.to_string(), "unknown solver `bogus`");
+        assert_eq!(Solver::from_paper_name("bogus"), None);
     }
 
     #[test]

@@ -114,29 +114,6 @@ pub(crate) struct WalCounters {
     pub checkpoints: AtomicU64,
 }
 
-/// Per-session durability facts behind the `health` command. The lane
-/// stores into these as each command settles, before it serves the
-/// next one, so `health` observes every command admitted before it.
-/// All fields are deterministic (no wall clock), keeping `health`
-/// responses pinned in the byte-identity matrix.
-#[derive(Default)]
-pub(crate) struct DurabilityFacts {
-    /// Whether this registry runs with `--state-dir` at all.
-    pub durable: AtomicBool,
-    /// Whether this session's state was rebuilt from disk (checkpoint
-    /// and/or WAL tail) when its lane started.
-    pub recovered: AtomicBool,
-    /// Mutations logged over the session's lifetime (monotonic across
-    /// restarts; 0 while durability is off).
-    pub wal_records: AtomicU64,
-    /// `wal_records` watermark folded into the newest on-disk
-    /// checkpoint (0 = none yet).
-    pub last_checkpoint_seq: AtomicU64,
-    /// Mirror of [`Session::is_degraded`] as of the latest settled
-    /// command.
-    pub degraded: AtomicBool,
-}
-
 /// Crate version reported by `mgba_build_info` and `stats`.
 const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
 
@@ -195,9 +172,6 @@ pub struct SessionHandle {
     /// deliberately survive rebuilds — they live here, not on the lane
     /// state — so this counter is the only stats discontinuity marker.
     rebuilds: AtomicU64,
-    /// Durability facts behind the `health` command (see
-    /// [`DurabilityFacts`]).
-    pub(crate) durability: DurabilityFacts,
 }
 
 impl SessionHandle {
@@ -212,7 +186,6 @@ impl SessionHandle {
             last_active: Mutex::new(Instant::now()),
             pending_lane: AtomicUsize::new(0),
             rebuilds: AtomicU64::new(0),
-            durability: DurabilityFacts::default(),
         }
     }
 
@@ -443,10 +416,6 @@ impl Registry {
             return Err(AdmitRejection::TooManySessions);
         }
         let handle = Arc::new(SessionHandle::new(name));
-        handle
-            .durability
-            .durable
-            .store(self.durability.is_some(), Ordering::SeqCst);
         // Durable sessions rebuild from disk *before* the lane starts
         // (and before this admission returns), so the first request
         // already observes the recovered state.
@@ -567,13 +536,16 @@ fn wal_line(cmd: &Command, seq: u64) -> String {
 }
 
 /// A writer lane's private state: the live session, the [`Journal`]
-/// that rebuilds it, and — with `--state-dir`, until durability is
-/// lost — the journal's on-disk mirror.
+/// that rebuilds it, and, with `--state-dir`, the journal's on-disk
+/// mirror, written until durability is lost.
 #[derive(Default)]
 pub(crate) struct Lane {
     session: Session,
     journal: Journal,
     mirror: Option<Durability>,
+    /// Whether the session's state was rebuilt from disk (checkpoint
+    /// and/or WAL tail) when the lane started.
+    recovered: bool,
 }
 
 impl Lane {
@@ -590,22 +562,18 @@ impl Lane {
         let Some(d) = self.mirror.as_mut() else {
             return;
         };
-        if stopped.is_some() {
+        if stopped.is_some() && !self.session.durability_lost() {
             if let Err(why) = d.checkpoint(&self.journal, counters) {
                 self.lose_durability(handle, &why);
-                return;
             }
         }
-        d.publish_facts(&self.journal, handle, &self.session);
     }
 
-    /// A WAL write failed: the session turns read-only and the mirror is
-    /// dropped (see [`Session::mark_durability_lost`]).
+    /// A WAL write failed: the session turns read-only (see
+    /// [`Session::mark_durability_lost`]), so the mirror is never written
+    /// again; it stays to report its last checkpoint in `health`.
     fn lose_durability(&mut self, handle: &SessionHandle, why: &str) {
         self.session.mark_durability_lost();
-        if let Some(d) = self.mirror.take() {
-            d.publish_facts(&self.journal, handle, &self.session);
-        }
         obs::counter_add("server.durability.lost", 1);
         obs::events::emit(
             obs::events::Severity::Error,
@@ -763,6 +731,7 @@ impl Durability {
                 last_checkpoint_seq,
                 since_checkpoint: 0,
             }),
+            recovered,
         };
         if let Some(why) = broken {
             // The unreplayable suffix describes state we do not have:
@@ -781,13 +750,6 @@ impl Durability {
                     lane.lose_durability(handle, &e);
                 }
             }
-        }
-        handle
-            .durability
-            .recovered
-            .store(recovered, Ordering::SeqCst);
-        if let Some(d) = &lane.mirror {
-            d.publish_facts(&lane.journal, handle, &lane.session);
         }
         handle.publish(lane.session.gauges());
         if recovered {
@@ -810,10 +772,6 @@ impl Durability {
     fn lost_at_open(handle: &SessionHandle, what: &str, e: &std::io::Error) -> Lane {
         let mut lane = Lane::default();
         lane.lose_durability(handle, &format!("{what}: {e}"));
-        handle
-            .durability
-            .degraded
-            .store(lane.session.is_degraded(), Ordering::SeqCst);
         lane
     }
 
@@ -869,24 +827,21 @@ impl Durability {
         self.since_checkpoint = 0;
         Ok(())
     }
-
-    /// Stores the current durability facts onto the handle for the
-    /// `health` command.
-    fn publish_facts(&self, journal: &Journal, handle: &SessionHandle, session: &Session) {
-        let f = &handle.durability;
-        f.wal_records.store(journal.seq(), Ordering::SeqCst);
-        f.last_checkpoint_seq
-            .store(self.last_checkpoint_seq, Ordering::SeqCst);
-        f.degraded.store(session.is_degraded(), Ordering::SeqCst);
-    }
 }
 
-/// Renders the `health` result: protocol window, durability mode, and
-/// this session's durability facts. Deliberately free of timing fields
-/// (no uptime) so responses are byte-identical across runs and thread
-/// counts — `health` is pinned in the byte-identity matrix.
-pub(crate) fn render_health(handle: &SessionHandle) -> String {
-    let f = &handle.durability;
+/// Renders the `health` result: protocol window, durability mode
+/// (`durable`: the registry runs with `--state-dir`), and this session's
+/// durability facts, read off its lane. `wal_records` counts the
+/// mutations logged over the session's lifetime (monotonic across
+/// restarts) and `last_checkpoint_seq` the ones folded into the newest
+/// on-disk checkpoint; both are 0 without a mirror. Deliberately free of
+/// timing fields (no uptime) so responses are byte-identical across runs
+/// and thread counts — `health` is pinned in the byte-identity matrix.
+fn render_health(handle: &SessionHandle, lane: &Lane, durable: bool) -> String {
+    let (wal_records, checkpoint_seq) = lane
+        .mirror
+        .as_ref()
+        .map_or((0, 0), |d| (lane.journal.seq(), d.last_checkpoint_seq));
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.key("server");
@@ -896,19 +851,19 @@ pub(crate) fn render_health(handle: &SessionHandle) -> String {
     w.key("proto_max");
     w.u64(proto::PROTO_MAX);
     w.key("durable");
-    w.bool(f.durable.load(Ordering::SeqCst));
+    w.bool(durable);
     w.key("session");
     w.begin_obj();
     w.key("name");
     w.str(handle.name());
     w.key("recovered");
-    w.bool(f.recovered.load(Ordering::SeqCst));
+    w.bool(lane.recovered);
     w.key("wal_records");
-    w.u64(f.wal_records.load(Ordering::SeqCst));
+    w.u64(wal_records);
     w.key("last_checkpoint_seq");
-    w.u64(f.last_checkpoint_seq.load(Ordering::SeqCst));
+    w.u64(checkpoint_seq);
     w.key("degraded");
-    w.bool(f.degraded.load(Ordering::SeqCst));
+    w.bool(lane.session.is_degraded());
     w.end_obj();
     w.end_obj();
     w.finish()
@@ -1042,7 +997,7 @@ fn process_lane(
                 // session's handle is reachable.
                 Command::Stats => Ok(render_stats(&lane.session, handle, registry, shared)),
                 Command::Metrics => Ok(render_metrics(&lane.session, handle, registry, shared)),
-                Command::Health => Ok(render_health(handle)),
+                Command::Health => Ok(render_health(handle, lane, state_dir.is_some())),
                 _ => {
                     lane.journal
                         .execute(&mut lane.session, &cmd, confined.as_ref().unwrap_or(&cmd))
@@ -1120,12 +1075,9 @@ fn process_lane(
     let mut durability_error: Option<String> = None;
     if result.is_ok() && cmd.is_state_changing() {
         if let Some(d) = lane.mirror.as_mut() {
-            match d.record(&cmd, &lane.journal, &registry.wal_counters) {
-                Ok(()) => d.publish_facts(&lane.journal, handle, &lane.session),
-                Err(why) => {
-                    lane.lose_durability(handle, &why);
-                    durability_error = Some(format!("{why}; session is read-only until restart"));
-                }
+            if let Err(why) = d.record(&cmd, &lane.journal, &registry.wal_counters) {
+                lane.lose_durability(handle, &why);
+                durability_error = Some(format!("{why}; session is read-only until restart"));
             }
         }
     }
@@ -1133,8 +1085,7 @@ fn process_lane(
     // republishes this session's gauges before the reply goes out, so a
     // client holding the reply sees its effect in any session's
     // `metrics`. What-if commands resize and roll back, which advances
-    // the engine's update counters, so they republish too. The `health`
-    // facts follow the same command.
+    // the engine's update counters, so they republish too.
     let moved_counters = matches!(
         cmd,
         Command::WhatIfResize { .. } | Command::WhatIfBatch { .. }
@@ -1142,10 +1093,6 @@ fn process_lane(
     if (result.is_ok() && (cmd.is_state_changing() || moved_counters)) || panicked {
         handle.publish(lane.session.gauges());
     }
-    handle
-        .durability
-        .degraded
-        .store(lane.session.is_degraded(), Ordering::SeqCst);
     let shutdown = matches!(cmd, Command::Shutdown) && result.is_ok();
     let envelope = if let Some(msg) = &durability_error {
         proto::error_envelope(&meta, "durability_lost", msg)

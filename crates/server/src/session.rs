@@ -19,10 +19,7 @@
 
 use crate::proto::Command;
 use crate::suggest;
-use mgba::{
-    recalibrate_warm, run_mgba_cached, CalibrationCache, FallbackStage, MgbaConfig, MgbaError,
-    Solver,
-};
+use mgba::{Calibration, FallbackStage, MgbaConfig, MgbaError, MgbaReport, Solver};
 use netlist::{CellId, LibCellId};
 use obs::json::JsonWriter;
 use sta::{
@@ -58,27 +55,21 @@ struct Loaded {
     period: f64,
     /// The resident timing engine.
     sta: Sta,
-    /// Solver name when the session has been calibrated.
-    calibrated: Option<String>,
-    /// Solver of the most recent successful calibration, reused by
-    /// commit-triggered recalibrations.
+    /// Solver of the most recent fit, reused by commit-triggered
+    /// recalibrations; `None` until calibrated.
     solver: Option<Solver>,
-    /// Warm-refit state of the most recent calibration: the frozen path
-    /// set, the fit problem (patched in place per commit), and `x*`.
-    /// `None` until calibrated. It is never serialized: a rebuilt
+    /// Warm-refit state of the most recent cold fit, with the cells the
+    /// commits since the last fit invalidated. `None` until calibrated,
+    /// and when that fit had no paths. It is never serialized: a rebuilt
     /// [`DesignState`] has none, and journal replay regenerates it.
-    cache: Option<CalibrationCache>,
-    /// Union of cells invalidated by committed resizes since the last
-    /// recalibration ([`Sta::last_touched`] captured right after each
-    /// commit, before weight installs clear it), canonically sorted.
-    dirty: Vec<CellId>,
+    calibration: Option<Calibration>,
     /// Committed resizes since load, in order, as (cell name, resolved
     /// library-cell name) — replayed verbatim by [`Session::rebuild`].
     resizes: Vec<(String, String)>,
 }
 
-/// What one recalibration did — rendered into `commit`/`recalibrate`
-/// responses and folded into session counters.
+/// What one fit did — rendered into `commit`/`recalibrate` responses,
+/// folded into session counters and recorded in the drift history.
 struct RecalOutcome {
     /// `"warm"` (dirty rows patched, solver warm-started) or `"cold"`
     /// (full re-select + re-fit).
@@ -94,6 +85,57 @@ struct RecalOutcome {
     wns: f64,
     tns: f64,
     degraded: bool,
+}
+
+impl Loaded {
+    /// The session's one cold fit: re-selects paths, fits `solver` from
+    /// zero, and arms the warm-refit state.
+    fn fit_cold(&mut self, solver: Solver) -> (MgbaReport, RecalOutcome) {
+        let (report, calibration) = Calibration::fit(&mut self.sta, &MgbaConfig::default(), solver);
+        self.solver = Some(solver);
+        self.calibration = calibration;
+        let outcome = RecalOutcome {
+            mode: "cold",
+            solver_name: report.solver_name.clone(),
+            fallback_name: report.fallback.name(),
+            dirty_rows: report.num_paths as u64,
+            total_rows: report.num_paths as u64,
+            iterations: report.iterations as u64,
+            converged: report.converged,
+            mse_before: report.mse_before,
+            mse_after: report.mse_after,
+            wns: self.sta.wns(),
+            tns: self.sta.tns(),
+            degraded: report.fallback.is_degraded(),
+        };
+        (report, outcome)
+    }
+
+    /// Re-fits the weights with `solver` after committed edits. Warm: the
+    /// calibration patches the rows its noted edits dirtied and
+    /// warm-starts from its `x*`. Cold (`full`, or no calibration, e.g.
+    /// right after a restore): [`Self::fit_cold`].
+    fn refit(&mut self, solver: Solver, full: bool) -> RecalOutcome {
+        let Some(c) = self.calibration.as_mut().filter(|_| !full) else {
+            return self.fit_cold(solver).1;
+        };
+        let re = c.refit(&mut self.sta, &MgbaConfig::default(), solver);
+        self.solver = Some(solver);
+        RecalOutcome {
+            mode: "warm",
+            solver_name: solver.paper_name().to_owned(),
+            fallback_name: re.fallback.name(),
+            dirty_rows: re.dirty_rows as u64,
+            total_rows: re.total_rows as u64,
+            iterations: re.iterations as u64,
+            converged: re.converged,
+            mse_before: re.mse_before,
+            mse_after: re.mse_after,
+            wns: self.sta.wns(),
+            tns: self.sta.tns(),
+            degraded: re.fallback.is_degraded(),
+        }
+    }
 }
 
 /// Slow-query ring capacity per session.
@@ -162,7 +204,9 @@ pub(crate) struct CalibrationRecord {
 struct DesignState {
     spec: String,
     period: f64,
-    calibrated: Option<String>,
+    /// Solver of the most recent fit (`None` = uncalibrated); a
+    /// checkpoint names it by its paper name.
+    solver: Option<Solver>,
     resizes: Vec<(String, String)>,
     /// Nonzero fitted weights keyed by cell name.
     weights: Vec<(String, f64)>,
@@ -233,16 +277,6 @@ pub(crate) struct SessionGauges {
 
 fn usage(msg: impl Into<String>) -> MgbaError {
     MgbaError::Usage(msg.into())
-}
-
-fn parse_solver(name: &str) -> Result<Solver, MgbaError> {
-    Ok(match name {
-        "gd" => Solver::Gd,
-        "scg" => Solver::Scg,
-        "scgrs" => Solver::ScgRs,
-        "cgnr" => Solver::Cgnr,
-        other => return Err(usage(format!("unknown solver `{other}`"))),
-    })
 }
 
 /// The minimum, in row order, of `base` with each of the ascending
@@ -566,7 +600,7 @@ impl Session {
     fn cache_armed(&self) -> bool {
         self.loaded
             .as_ref()
-            .is_some_and(|l| l.calibrated.is_some() && l.cache.is_some())
+            .is_some_and(|l| l.calibration.is_some())
     }
 
     /// Appends a slow-query entry (called by the writer lane after a
@@ -613,7 +647,7 @@ impl Session {
         self.loaded.as_ref().map(|l| SessionGauges {
             wns: l.sta.wns(),
             tns: l.sta.tns(),
-            calibrated: l.calibrated.is_some(),
+            calibrated: l.solver.is_some(),
             full_updates: l.sta.stats.full_updates,
             incremental_updates: l.sta.stats.incremental_updates,
             cells_propagated: l.sta.stats.cells_propagated,
@@ -635,7 +669,7 @@ impl Session {
                 w.key("period");
                 w.f64(l.period);
                 w.key("calibrated");
-                w.bool(l.calibrated.is_some());
+                w.bool(l.solver.is_some());
                 w.key("full_updates");
                 w.u64(l.sta.stats.full_updates);
                 w.key("incremental_updates");
@@ -753,10 +787,8 @@ impl Session {
             spec: spec.to_owned(),
             period,
             sta,
-            calibrated: None,
             solver: None,
-            cache: None,
-            dirty: Vec::new(),
+            calibration: None,
             resizes: Vec::new(),
         };
         let mut w = JsonWriter::new();
@@ -784,18 +816,9 @@ impl Session {
     }
 
     fn calibrate(&mut self, solver: Option<&str>) -> Result<String, MgbaError> {
-        let solver = parse_solver(solver.unwrap_or("scgrs"))?;
+        let solver = Solver::parse(solver.unwrap_or("scgrs"))?;
         let loaded = self.require_loaded()?;
-        let config = MgbaConfig::default();
-        let (report, cache) = run_mgba_cached(&mut loaded.sta, &config, solver);
-        loaded.calibrated = Some(report.solver_name.clone());
-        loaded.solver = Some(solver);
-        loaded.cache = cache;
-        loaded.dirty.clear();
-        // A fit that bottomed out at identity weights is raw GBA: the
-        // session keeps serving, but flagged as degraded until a later
-        // calibrate lands on a real stage.
-        let degraded = report.fallback.is_degraded();
+        let (report, outcome) = loaded.fit_cold(solver);
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.key("design");
@@ -824,30 +847,12 @@ impl Session {
         w.f64(report.pass_before.ratio());
         w.key("pass_after");
         w.f64(report.pass_after.ratio());
-        let wns = loaded.sta.wns();
-        let tns = loaded.sta.tns();
         w.key("wns");
-        w.f64(wns);
+        w.f64(outcome.wns);
         w.key("tns");
-        w.f64(tns);
+        w.f64(outcome.tns);
         w.end_obj();
-        self.degraded = degraded;
-        let (weights_nonzero, weights_total) = self.weight_counts();
-        self.push_history(CalibrationRecord {
-            fit_seq: 0,
-            mode: "cold",
-            solver: report.solver_name.clone(),
-            fallback: report.fallback.name(),
-            iterations: report.iterations as u64,
-            converged: report.converged,
-            mse_before: report.mse_before,
-            mse_after: report.mse_after,
-            wns,
-            tns,
-            weights_nonzero,
-            weights_total,
-            commits_since_fit: 0,
-        });
+        self.record_fit(&outcome);
         Ok(w.finish())
     }
 
@@ -922,21 +927,20 @@ impl Session {
         let touched = sta.stats.cells_propagated - touched_before;
         let mut recal = None;
         if commit {
-            // Fold this commit's invalidation cone into the accumulated
-            // dirty set before anything clears `last_touched`.
-            let cone = loaded.sta.last_touched().to_vec();
-            loaded.dirty.extend(cone);
-            loaded.dirty.sort_unstable_by_key(|c| c.index());
-            loaded.dirty.dedup();
+            // Note this commit's invalidation cone before anything clears
+            // `last_touched`.
+            if let Some(c) = loaded.calibration.as_mut() {
+                c.note_edit(&loaded.sta);
+            }
             // Record the resolved target (not `up`/`down`) so recovery
             // replays the exact same library cell.
             loaded.resizes.push((cell_name.to_owned(), to_name.clone()));
-            if loaded.calibrated.is_some() {
+            if let Some(solver) = loaded.solver {
                 // A calibrated session refits on every commit so queries
                 // keep answering with post-edit mGBA accuracy: warm and
                 // incremental by default, cold on the `full` escape
                 // hatch.
-                recal = Some(Self::recalibrate_loaded(loaded, None, full)?);
+                recal = Some(loaded.refit(solver, full));
             }
         }
         if commit {
@@ -979,72 +983,22 @@ impl Session {
         Ok(w.finish())
     }
 
-    /// Re-fits the session's weights after committed edits. Warm path:
-    /// patch only the dirty fit-matrix rows and warm-start the solver
-    /// from the cached `x*`. Cold path (`full`, or no cache — e.g. right
-    /// after crash recovery): a fresh [`run_mgba_cached`] with path
-    /// re-selection.
-    fn recalibrate_loaded(
-        loaded: &mut Loaded,
-        solver_arg: Option<&str>,
-        full: bool,
-    ) -> Result<RecalOutcome, MgbaError> {
-        let solver = match solver_arg {
-            Some(name) => parse_solver(name)?,
-            None => loaded.solver.unwrap_or(Solver::ScgRs),
-        };
-        let config = MgbaConfig::default();
-        let outcome = if let (false, Some(cache)) = (full, loaded.cache.as_mut()) {
-            let dirty = std::mem::take(&mut loaded.dirty);
-            let re = recalibrate_warm(&mut loaded.sta, &config, solver, cache, &dirty);
-            loaded.calibrated = Some(solver.paper_name().to_owned());
-            loaded.solver = Some(solver);
-            RecalOutcome {
-                mode: "warm",
-                solver_name: solver.paper_name().to_owned(),
-                fallback_name: re.fallback.name(),
-                dirty_rows: re.dirty_rows as u64,
-                total_rows: re.total_rows as u64,
-                iterations: re.iterations as u64,
-                converged: re.converged,
-                mse_before: re.mse_before,
-                mse_after: re.mse_after,
-                wns: loaded.sta.wns(),
-                tns: loaded.sta.tns(),
-                degraded: re.fallback.is_degraded(),
-            }
-        } else {
-            let (report, cache) = run_mgba_cached(&mut loaded.sta, &config, solver);
-            loaded.calibrated = Some(report.solver_name.clone());
-            loaded.solver = Some(solver);
-            loaded.cache = cache;
-            loaded.dirty.clear();
-            RecalOutcome {
-                mode: "cold",
-                solver_name: report.solver_name,
-                fallback_name: report.fallback.name(),
-                dirty_rows: report.num_paths as u64,
-                total_rows: report.num_paths as u64,
-                iterations: report.iterations as u64,
-                converged: report.converged,
-                mse_before: report.mse_before,
-                mse_after: report.mse_after,
-                wns: loaded.sta.wns(),
-                tns: loaded.sta.tns(),
-                degraded: report.fallback.is_degraded(),
-            }
-        };
-        Ok(outcome)
-    }
-
-    /// Updates session-level warm/cold counters and the degraded flag
-    /// after a recalibration, and appends the drift record.
+    /// Updates session-level warm/cold counters after a recalibration,
+    /// then records the fit.
     fn note_recalibration(&mut self, o: &RecalOutcome) {
         if o.mode == "warm" {
             self.recalib_warm += 1;
         } else {
             self.recalib_cold += 1;
         }
+        self.record_fit(o);
+    }
+
+    /// Sets the degraded flag from a fit and appends its drift record. A
+    /// fit that bottomed out at identity weights is raw GBA: the session
+    /// keeps serving, but flagged as degraded until a later fit lands on
+    /// a real stage.
+    fn record_fit(&mut self, o: &RecalOutcome) {
         self.degraded = o.degraded;
         let (weights_nonzero, weights_total) = self.weight_counts();
         self.push_history(CalibrationRecord {
@@ -1093,10 +1047,11 @@ impl Session {
 
     fn recalibrate(&mut self, solver: Option<&str>, full: bool) -> Result<String, MgbaError> {
         let loaded = self.require_loaded()?;
-        if loaded.calibrated.is_none() {
+        let Some(current) = loaded.solver else {
             return Err(usage("nothing calibrated yet (send `calibrate` first)"));
-        }
-        let o = Self::recalibrate_loaded(loaded, solver, full)?;
+        };
+        let solver = solver.map_or(Ok(current), Solver::parse)?;
+        let o = loaded.refit(solver, full);
         self.note_recalibration(&o);
         let mut w = JsonWriter::new();
         Self::write_recal(&mut w, &o);
@@ -1107,7 +1062,7 @@ impl Session {
     /// trial-applied, measured, and rolled back. On a calibrated session
     /// the monitored path set (the calibration's paths) is timed once at
     /// the base state; each candidate re-times only the rows its resize
-    /// changed ([`Sta::last_changed`] looked up in the cache's row index)
+    /// changed ([`Calibration::rows_reading`] of [`Sta::last_changed`])
     /// and takes the row-order minimum over those and the base slacks.
     /// Every other row's timing is bitwise unchanged, so the reply equals
     /// re-timing the whole set. The batch retimers keep it bit-identical
@@ -1123,15 +1078,17 @@ impl Session {
         let par = parallel::global();
         // Split borrows: candidates mutate the engine (resize, measure,
         // roll back) while the monitored path set stays borrowed from
-        // the calibration cache.
-        let Loaded { sta, cache, .. } = loaded;
-        let cache = cache.as_ref();
+        // the calibration.
+        let Loaded {
+            sta, calibration, ..
+        } = loaded;
+        let calibration = calibration.as_ref();
         let slacks = |t: Vec<PathTiming>| t.iter().map(|t| t.slack).collect::<Vec<f64>>();
-        let base = cache.map(|c| {
-            let gba = slacks(gba_path_timing_batch(sta, &c.paths, par));
+        let base = calibration.map(|c| {
+            let gba = slacks(gba_path_timing_batch(sta, c.paths(), par));
             (
                 gba,
-                pba.then(|| slacks(pba_timing_batch(sta, &c.paths, par))),
+                pba.then(|| slacks(pba_timing_batch(sta, c.paths(), par))),
             )
         });
         let wns0 = sta.wns();
@@ -1200,13 +1157,13 @@ impl Session {
             w.f64(tns1);
             w.key("delta_tns");
             w.f64(tns1 - tns0);
-            if let (Some(c), Some((gba0, pba0))) = (cache, &base) {
-                let rows = c.fit.dirty_rows(&c.index, sta.last_changed());
-                let fresh = gba_path_timing_rows(sta, &c.paths, &rows, par);
+            if let (Some(c), Some((gba0, pba0))) = (calibration, &base) {
+                let rows = c.rows_reading(sta.last_changed());
+                let fresh = gba_path_timing_rows(sta, c.paths(), &rows, par);
                 w.key("path_wns");
                 w.f64(worst_slack(gba0, &rows, &fresh));
                 if let Some(pba0) = pba0 {
-                    let fresh = pba_timing_rows(sta, &c.paths, &rows, par);
+                    let fresh = pba_timing_rows(sta, c.paths(), &rows, par);
                     w.key("path_pba_wns");
                     w.f64(worst_slack(pba0, &rows, &fresh));
                 }
@@ -1260,8 +1217,8 @@ impl Session {
         w.key("weights_applied");
         w.u64(design.weights.len() as u64);
         w.key("calibrated");
-        match &loaded.calibrated {
-            Some(s) => w.str(s),
+        match loaded.solver {
+            Some(s) => w.str(s.paper_name()),
             None => w.null(),
         }
         w.key("wns");
@@ -1289,16 +1246,16 @@ impl Session {
         DesignState {
             spec: l.spec.clone(),
             period: l.period,
-            calibrated: l.calibrated.clone(),
+            solver: l.solver,
             resizes: l.resizes.clone(),
             weights,
         }
     }
 
-    /// Rebuilds a [`Loaded`], bit-exact but without calibration cache:
+    /// Rebuilds a [`Loaded`], bit-exact but without warm-refit state:
     /// reload the design, replay committed resizes, reapply fitted
-    /// weights, and take the solver back from its paper name (later cold
-    /// refits inherit it). A name the design lacks is a `parse` error.
+    /// weights, and keep the solver (later cold refits inherit it). A
+    /// name the design lacks is a `parse` error.
     fn rebuild(d: &DesignState) -> Result<Loaded, MgbaError> {
         let netlist = mgba::load_design_or_file(&d.spec)?;
         let mut sta = mgba::build_engine(netlist, d.period)?;
@@ -1320,12 +1277,8 @@ impl Session {
             spec: d.spec.clone(),
             period: d.period,
             sta,
-            calibrated: d.calibrated.clone(),
-            solver: [Solver::Gd, Solver::Scg, Solver::ScgRs, Solver::Cgnr]
-                .into_iter()
-                .find(|s| d.calibrated.as_deref() == Some(s.paper_name())),
-            cache: None,
-            dirty: Vec::new(),
+            solver: d.solver,
+            calibration: None,
             resizes: d.resizes.clone(),
         })
     }
@@ -1465,10 +1418,7 @@ impl Journal {
                 session.slow_dropped = old.slow_dropped;
                 session.durability_lost = old.durability_lost;
                 session.degraded |= stopped.is_some()
-                    || session
-                        .loaded
-                        .as_ref()
-                        .is_some_and(|l| l.calibrated.is_none());
+                    || session.loaded.as_ref().is_some_and(|l| l.solver.is_none());
                 obs::counter_add("server.session.restored", 1);
                 stopped
             }
@@ -1612,7 +1562,11 @@ pub(crate) fn render_checkpoint(d: &DurableState, seq: u64) -> String {
             let _ = writeln!(out, "loaded 1");
             let _ = writeln!(out, "spec {}", s.spec);
             let _ = writeln!(out, "period {:?}", s.period);
-            let _ = writeln!(out, "calibrated {}", s.calibrated.as_deref().unwrap_or("-"));
+            let _ = writeln!(
+                out,
+                "calibrated {}",
+                s.solver.map_or("-", Solver::paper_name)
+            );
             let _ = writeln!(out, "resizes {}", s.resizes.len());
             for (cell, to) in &s.resizes {
                 let _ = writeln!(out, "{cell}\t{to}");
@@ -1691,9 +1645,12 @@ pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaEr
                 .ok()
                 .filter(|p: &f64| *p > 0.0 && p.is_finite())
                 .ok_or_else(|| bad("bad `period`".into()))?;
-            let calibrated = match next_field(&mut lines, "calibrated")?.as_str() {
+            let solver = match next_field(&mut lines, "calibrated")?.as_str() {
                 "-" => None,
-                name => Some(name.to_owned()),
+                name => Some(
+                    Solver::from_paper_name(name)
+                        .ok_or_else(|| bad(format!("unknown solver `{name}`")))?,
+                ),
             };
             let n_resizes: usize = next_field(&mut lines, "resizes")?
                 .parse()
@@ -1729,7 +1686,7 @@ pub(crate) fn parse_checkpoint(text: &str) -> Result<(DurableState, u64), MgbaEr
             Some(DesignState {
                 spec,
                 period,
-                calibrated,
+                solver,
                 resizes,
                 weights,
             })
@@ -1938,6 +1895,10 @@ mod tests {
                 format!("{design}resizes 0\nweights 1\nno_such_cell\t0.5\n"),
             ),
             ("ckpt_nodesign.mgba", format!("{head}loaded 0\n")),
+            (
+                "ckpt_badsolver.mgba",
+                format!("{head}loaded 1\nspec small:1\nperiod 900.0\ncalibrated bogus\nresizes 0\nweights 0\n"),
+            ),
         ];
         // Files in the retired snapshot format now fail at the header.
         for (name, content) in [
@@ -2402,9 +2363,11 @@ mod tests {
         let par = parallel::global();
         // Split borrows: candidates mutate the engine (resize, measure,
         // roll back) while the monitored path set stays borrowed from
-        // the calibration cache.
-        let Loaded { sta, cache, .. } = loaded;
-        let monitored: Option<&[Path]> = cache.as_ref().map(|c| c.paths.as_slice());
+        // the calibration.
+        let Loaded {
+            sta, calibration, ..
+        } = loaded;
+        let monitored: Option<&[Path]> = calibration.as_ref().map(Calibration::paths);
         let wns0 = sta.wns();
         let tns0 = sta.tns();
         let mut w = JsonWriter::new();
