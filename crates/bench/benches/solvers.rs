@@ -1,8 +1,7 @@
-//! Criterion microbenchmarks of the optimization solvers (Table 4's
-//! wall-clock comparison at statistical rigor) plus the ablations called
-//! out in DESIGN.md:
+//! Criterion microbenchmarks of the solver ablations called out in
+//! DESIGN.md §6, each on the same D1 problem (the solver comparison
+//! itself is `table4_solvers`):
 //!
-//! - `solver/...` — GD vs SCG vs SCG+RS vs CGNR on the same D1 problem;
 //! - `ablation/step_decay` — the dynamic step-size schedule on vs off;
 //! - `ablation/row_fraction` — sensitivity to the k'' sampling fraction;
 //! - `ablation/initial_ratio` — Algorithm 1's starting ratio r₀.
@@ -25,19 +24,6 @@ fn problem() -> FitProblem {
         true,
     );
     FitProblem::build(&sta, &selection.paths, config.epsilon, config.penalty)
-}
-
-fn bench_solvers(c: &mut Criterion) {
-    let p = problem();
-    let config = MgbaConfig::default();
-    let mut group = c.benchmark_group("solver");
-    group.sample_size(10);
-    for solver in [Solver::Gd, Solver::Scg, Solver::ScgRs, Solver::Cgnr] {
-        group.bench_function(BenchmarkId::from_parameter(solver.paper_name()), |b| {
-            b.iter(|| black_box(solver.solve(&p, &config)))
-        });
-    }
-    group.finish();
 }
 
 fn bench_step_decay_ablation(c: &mut Criterion) {
@@ -93,7 +79,6 @@ fn bench_initial_ratio_ablation(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_solvers,
     bench_step_decay_ablation,
     bench_row_fraction_ablation,
     bench_initial_ratio_ablation

@@ -6,7 +6,6 @@
 //! mgba-sta lint      <FILE> [--json]
 //! mgba-sta stats     <FILE>
 //! mgba-sta report    <FILE> --period PS [--top N]
-//! mgba-sta fit       <FILE> --period PS [--solver ...] [--out WEIGHTS]
 //! mgba-sta calibrate <D1..D10|small:SEED|FILE> [--period PS] [--solver ...] [--out WEIGHTS]
 //! mgba-sta flow      <FILE> --period PS [--timer gba|mgba]
 //! mgba-sta holdfix   <FILE> --period PS [--guard PS]
@@ -99,9 +98,10 @@ usage:
                      exits nonzero when error-severity issues are found)
   mgba-sta stats     <FILE>
   mgba-sta report    <FILE> --period PS [--top N] [--weights WEIGHTS]
-  mgba-sta fit       <FILE> --period PS [--solver gd|scg|scgrs|cgnr] [--out WEIGHTS]
-  mgba-sta calibrate <D1..D10|small:SEED|FILE> [--period PS] [--solver ...] [--out WEIGHTS]
-                     [--qor FILE]   (write the QoR accuracy dashboard JSON)
+  mgba-sta calibrate <D1..D10|small:SEED|FILE> [--period PS] [--solver gd|scg|scgrs|cgnr]
+                     [--out WEIGHTS] [--qor FILE]   (fit mGBA weights; without
+                     --period a violating period is derived; --qor writes the
+                     QoR accuracy dashboard JSON)
   mgba-sta flow      <FILE> --period PS [--timer gba|mgba]
   mgba-sta holdfix   <FILE> --period PS [--guard PS]
   mgba-sta corners   <FILE> --period PS
@@ -198,7 +198,6 @@ fn run(argv: &[String]) -> Result<(), MgbaError> {
             "lint" => cmd_lint(&mut args),
             "stats" => cmd_stats(&mut args),
             "report" => cmd_report(&mut args),
-            "fit" => cmd_fit(&mut args),
             "calibrate" => cmd_calibrate(&mut args),
             "flow" => cmd_flow(&mut args),
             "holdfix" => cmd_holdfix(&mut args),
@@ -498,7 +497,7 @@ fn cmd_report(args: &mut Args) -> Result<(), MgbaError> {
     Ok(())
 }
 
-/// Prints the post-fit summary shared by `fit` and `calibrate`.
+/// Prints the post-fit summary of `calibrate`.
 fn print_fit_report(report: &MgbaReport, sta: &Sta) {
     println!("design {}: {}", report.design, report.solver_name);
     println!(
@@ -531,27 +530,10 @@ fn print_fit_report(report: &MgbaReport, sta: &Sta) {
     );
 }
 
-fn cmd_fit(args: &mut Args) -> Result<(), MgbaError> {
-    let file = args.positional("netlist file")?;
-    let period: f64 = args.required_option("--period")?;
-    let solver = Solver::parse(&args.option("--solver")?.unwrap_or_else(|| "scgrs".into()))?;
-    let out = args.option("--out")?;
-    args.finish()?;
-    let mut sta = build_engine(load_netlist_file(&file)?, period)?;
-    let report = run_mgba(&mut sta, &MgbaConfig::default(), solver);
-    if let Some(path) = &out {
-        let text = write_weights(sta.netlist(), &report.weights);
-        atomic_write_text(path, &text)?;
-        eprintln!("wrote weights sidecar {path}");
-    }
-    print_fit_report(&report, &sta);
-    Ok(())
-}
-
-/// Like `fit`, but accepts generator specs directly and derives a tight
-/// clock period when `--period` is omitted — the one-command way to
-/// exercise the full load → select → build → solve → fold-back pipeline
-/// (and, with `--profile`, to capture its span tree and solver
+/// Fits mGBA weights to a generator spec or a netlist file, deriving a
+/// tight clock period when `--period` is omitted — the one-command way
+/// to exercise the full load → select → build → solve → fold-back
+/// pipeline (and, with `--profile`, to capture its span tree and solver
 /// telemetry).
 fn cmd_calibrate(args: &mut Args) -> Result<(), MgbaError> {
     let spec = args.positional("design or netlist file")?;

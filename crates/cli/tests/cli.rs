@@ -63,7 +63,7 @@ fn fit_writes_and_report_reads_weights() {
     // small designs violate well below ~1000 ps).
     let fit_out = run_ok(
         bin()
-            .arg("fit")
+            .arg("calibrate")
             .arg(&nl)
             .args(["--period", "900", "--solver", "cgnr", "--out"])
             .arg(&weights),

@@ -10,7 +10,9 @@
 //!   count, total/min/max), so a hot function called 10⁴ times is one
 //!   tree node, not 10⁴.
 //! - **Metrics** ([`metrics`]) — named counters, gauges, and histograms
-//!   with fixed log₂-scale buckets, aggregated process-wide.
+//!   with fixed log₂-scale buckets, aggregated process-wide. The
+//!   histogram ([`metrics::Histogram`]) is also a plain value that
+//!   always-on stores keep for themselves.
 //! - **Solver telemetry** ([`telemetry`]) — per-iteration traces
 //!   (objective, gradient norm, step size, rows touched) for every
 //!   solver run, plus Algorithm 1's ratio-doubling rounds.

@@ -4,6 +4,11 @@
 //! convention (`"sta.pba.paths"`); the first operation on a name fixes
 //! its kind, and later operations of a different kind are ignored (they
 //! must not panic inside instrumented library code).
+//!
+//! [`Histogram`] is also a plain value type: a store that must record
+//! whether or not profiling is enabled (the server's always-on latency
+//! histograms) keeps its own and renders it through the same
+//! [`HistogramSnapshot`].
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -18,8 +23,10 @@ pub const HIST_BUCKETS: usize = 64;
 /// wide enough for nanosecond durations and row counts alike.
 pub const HIST_MIN_EXP: i32 = -16;
 
+/// A log₂-bucket histogram: per-bucket counts plus count, sum, min and
+/// max. The registry stores one per histogram name.
 #[derive(Debug, Clone)]
-struct Histogram {
+pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: f64,
@@ -27,8 +34,8 @@ struct Histogram {
     max: f64,
 }
 
-impl Histogram {
-    fn new() -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Self {
             buckets: vec![0; HIST_BUCKETS],
             count: 0,
@@ -37,13 +44,49 @@ impl Histogram {
             max: f64::NEG_INFINITY,
         }
     }
+}
 
-    fn observe(&mut self, v: f64) {
+impl Histogram {
+    /// Records one value.
+    pub fn observe(&mut self, v: f64) {
         self.buckets[bucket_index(v)] += 1;
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// Folds `other` in, as if its values had been observed here.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Captures the histogram under `name`.
+    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_owned(),
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+            // Trim leading/trailing empty buckets only; keep the
+            // interior contiguous so every renderer sees one range.
+            buckets: match (
+                self.buckets.iter().position(|&c| c > 0),
+                self.buckets.iter().rposition(|&c| c > 0),
+            ) {
+                (Some(first), Some(last)) => (first..=last)
+                    .map(|i| (bucket_le(i), self.buckets[i]))
+                    .collect(),
+                _ => Vec::new(),
+            },
+        }
     }
 }
 
@@ -109,7 +152,7 @@ pub fn observe(name: &str, v: f64) {
     let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
     if let Metric::Hist(h) = reg
         .entry(name.to_owned())
-        .or_insert_with(|| Metric::Hist(Histogram::new()))
+        .or_insert_with(|| Metric::Hist(Histogram::default()))
     {
         h.observe(v);
     }
@@ -202,24 +245,7 @@ pub fn snapshot() -> MetricsSnapshot {
         match metric {
             Metric::Counter(c) => out.counters.push((name.clone(), *c)),
             Metric::Gauge(g) => out.gauges.push((name.clone(), *g)),
-            Metric::Hist(h) => out.histograms.push(HistogramSnapshot {
-                name: name.clone(),
-                count: h.count,
-                sum: h.sum,
-                min: h.min,
-                max: h.max,
-                // Trim leading/trailing empty buckets only; keep the
-                // interior contiguous so every renderer sees one range.
-                buckets: match (
-                    h.buckets.iter().position(|&c| c > 0),
-                    h.buckets.iter().rposition(|&c| c > 0),
-                ) {
-                    (Some(first), Some(last)) => (first..=last)
-                        .map(|i| (bucket_le(i), h.buckets[i]))
-                        .collect(),
-                    _ => Vec::new(),
-                },
-            }),
+            Metric::Hist(h) => out.histograms.push(h.snapshot(name)),
         }
     }
     out
@@ -333,6 +359,54 @@ mod tests {
         );
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 6.0);
+    }
+
+    #[test]
+    fn merge_equals_one_histogram_fed_both_sets() {
+        // Integer-valued observations below 2⁵³ in total, so the sums
+        // are exact in any order. The right side holds both extremes:
+        // zero (bucket 0) and 2⁵⁰ (the overflow bucket).
+        let left = [3.0, 7.0, 100.0];
+        let right = [0.0, 1.0, 8.0, 90_000.0, (1u64 << 50) as f64];
+        let (mut a, mut b, mut both) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
+        for &v in &left {
+            a.observe(v);
+            both.observe(v);
+        }
+        for &v in &right {
+            b.observe(v);
+            both.observe(v);
+        }
+        a.merge(&b);
+        assert_eq!(a.snapshot("h"), both.snapshot("h"));
+        assert_eq!(a.buckets, both.buckets);
+        // An empty histogram is the identity on either side.
+        let mut empty = Histogram::default();
+        empty.merge(&both);
+        assert_eq!(empty.snapshot("h"), both.snapshot("h"));
+        both.merge(&Histogram::default());
+        assert_eq!(empty.snapshot("h"), both.snapshot("h"));
+    }
+
+    #[test]
+    fn value_histogram_and_registry_snapshot_alike() {
+        let _l = testlock::hold();
+        crate::set_enabled(true);
+        let mut h = Histogram::default();
+        for v in [0.0, 0.25, 1.0, 3.7, 5.0, 5.0, 1e6] {
+            h.observe(v);
+            observe("same", v);
+        }
+        crate::set_enabled(false);
+        assert_eq!(snapshot().histogram("same"), Some(&h.snapshot("same")));
+        let empty = Histogram::default().snapshot("empty");
+        assert_eq!((empty.count, empty.sum), (0, 0.0));
+        assert!(empty.buckets.is_empty());
+        assert_eq!(empty.quantile(0.5), None);
     }
 
     #[test]

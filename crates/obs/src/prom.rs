@@ -152,28 +152,17 @@ impl PromWriter {
     }
 
     /// Opens a histogram family (`# HELP`/`# TYPE` lines). Follow with
-    /// one [`histogram_series`](Self::histogram_series) per label value.
+    /// one [`histogram_series_labels`](Self::histogram_series_labels)
+    /// per label set.
     pub fn histogram_family(&mut self, name: &str, help: &str) {
         self.header(name, help, "histogram");
     }
 
-    /// Emits one histogram series under an open family: cumulative
-    /// `_bucket` samples from per-bucket `(upper_bound, count)` pairs,
-    /// the mandatory `le="+Inf"` bucket, then `_sum` and `_count`.
-    pub fn histogram_series(
-        &mut self,
-        name: &str,
-        label: Option<(&str, &str)>,
-        buckets: &[(f64, u64)],
-        count: u64,
-        sum: f64,
-    ) {
-        let labels: Vec<(&str, &str)> = label.into_iter().collect();
-        self.histogram_series_labels(name, &labels, buckets, count, sum);
-    }
-
-    /// [`histogram_series`](Self::histogram_series) with an arbitrary
-    /// label set (e.g. `{session="a",cmd="wns"}`), in the given order.
+    /// Emits one histogram series under an open family, with the label
+    /// set in the given order (e.g. `{session="a",cmd="wns"}`, or none):
+    /// cumulative `_bucket` samples from per-bucket `(upper_bound,
+    /// count)` pairs, the mandatory `le="+Inf"` bucket, then `_sum` and
+    /// `_count`.
     pub fn histogram_series_labels(
         &mut self,
         name: &str,
@@ -228,7 +217,7 @@ pub fn encode(snapshot: &MetricsSnapshot) -> String {
     for h in &snapshot.histograms {
         let prom = sanitize_name(&h.name);
         w.histogram_family(&prom, &format!("obs histogram `{}`", h.name));
-        w.histogram_series(&prom, None, &h.buckets, h.count, h.sum);
+        w.histogram_series_labels(&prom, &[], &h.buckets, h.count, h.sum);
     }
     w.finish()
 }
@@ -427,7 +416,7 @@ mod tests {
     fn histogram_buckets_are_cumulative() {
         let mut w = PromWriter::new();
         w.histogram_family("h", "test");
-        w.histogram_series("h", None, &[(1.0, 3), (2.0, 0), (4.0, 2)], 5, 9.5);
+        w.histogram_series_labels("h", &[], &[(1.0, 3), (2.0, 0), (4.0, 2)], 5, 9.5);
         let text = w.finish();
         validate(&text).expect("conformant");
         let lines: Vec<&str> = text.lines().collect();
@@ -443,8 +432,8 @@ mod tests {
     fn labeled_series_share_one_family() {
         let mut w = PromWriter::new();
         w.histogram_family("lat", "per-command latency");
-        w.histogram_series("lat", Some(("cmd", "ping")), &[(1.0, 1)], 1, 0.5);
-        w.histogram_series("lat", Some(("cmd", "wns")), &[(2.0, 2)], 2, 3.0);
+        w.histogram_series_labels("lat", &[("cmd", "ping")], &[(1.0, 1)], 1, 0.5);
+        w.histogram_series_labels("lat", &[("cmd", "wns")], &[(2.0, 2)], 2, 3.0);
         let text = w.finish();
         validate(&text).expect("conformant");
         assert_eq!(text.matches("# TYPE lat histogram").count(), 1);
@@ -473,7 +462,7 @@ mod tests {
         let mut w = PromWriter::new();
         w.histogram_family("h", "overflow");
         // Registry snapshots can end in the +∞ overflow bucket.
-        w.histogram_series("h", None, &[(4.0, 1), (f64::INFINITY, 2)], 3, 100.0);
+        w.histogram_series_labels("h", &[], &[(4.0, 1), (f64::INFINITY, 2)], 3, 100.0);
         let text = w.finish();
         validate(&text).expect("conformant");
         assert!(text.contains("h_bucket{le=\"4.0\"} 1.0"));
@@ -507,7 +496,7 @@ mod tests {
         let mut w = PromWriter::new();
         w.gauge("g", "line\nbreak \\ slash", 1.0);
         w.histogram_family("h", "h");
-        w.histogram_series("h", Some(("cmd", "a\"b")), &[(1.0, 1)], 1, 1.0);
+        w.histogram_series_labels("h", &[("cmd", "a\"b")], &[(1.0, 1)], 1, 1.0);
         let text = w.finish();
         validate(&text).expect("conformant");
         assert!(text.contains("# HELP g line\\nbreak \\\\ slash"));

@@ -21,15 +21,14 @@
 //!   after a panic or a restart.
 //! - [`registry`] — the session shard map: one writer lane per session
 //!   running every command in admission order, the gauges each lane
-//!   publishes for other sessions' `metrics` rows, merged
+//!   publishes for other sessions' `metrics` rows, the always-on
+//!   latency histograms ([`obs::metrics::Histogram`]) and the merged
 //!   stats/metrics views.
 //! - [`server`] — bounded-queue admission, deadlines, graceful drain,
 //!   TCP/stdio front-ends.
 //! - [`client`] — typed `Request`/`Response` wire API with
 //!   connect/timeout/retry, shared by the CLI `query` command and the
 //!   bench harness.
-//! - [`stats`] — always-on per-command latency histograms behind the
-//!   `stats` command.
 //! - [`wal`] — per-session write-ahead log: checksummed,
 //!   length-prefixed records of acknowledged mutations, torn-tail
 //!   recovery, and post-checkpoint compaction (`--state-dir`
@@ -44,10 +43,9 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 pub mod session;
-pub mod stats;
 pub mod suggest;
 pub mod wal;
 
 pub use client::{Client, ClientConfig, Response, WireError};
 pub use server::{serve_stdio, serve_stream, Server, ServerConfig};
-pub use session::{ServerInfo, Session};
+pub use session::Session;

@@ -21,11 +21,12 @@
 //! overload.
 
 use crate::proto::{self, Command, EnvMeta};
-use crate::session::{self, Journal, ServerInfo, Session, SessionGauges};
-use crate::stats::{CommandStats, LatencyHist};
+use crate::session::{self, Journal, Session, SessionGauges};
 use crate::wal;
 use mgba::MgbaError;
 use obs::json::JsonWriter;
+use obs::metrics::Histogram;
+use obs::prom::PromWriter;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -70,16 +71,6 @@ impl Shared {
             panicked: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             queue_depth,
-        }
-    }
-
-    pub fn info(&self) -> ServerInfo {
-        ServerInfo {
-            queue_depth: self.queue_depth,
-            served: self.served.load(Ordering::SeqCst),
-            rejected_overload: self.rejected_overload.load(Ordering::SeqCst),
-            rejected_deadline: self.rejected_deadline.load(Ordering::SeqCst),
-            panics: self.panicked.load(Ordering::SeqCst),
         }
     }
 }
@@ -133,6 +124,16 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
+/// Always-on histograms by command or stage name, microseconds.
+pub(crate) type ByName = BTreeMap<&'static str, Histogram>;
+
+/// Records `d` in microseconds under `name`, and returns it.
+fn observe_us(hists: &Mutex<ByName>, name: &'static str, d: Duration) -> f64 {
+    let us = d.as_micros() as f64;
+    hists.lock().unwrap().entry(name).or_default().observe(us);
+    us
+}
+
 /// One admitted writer-lane job.
 pub(crate) struct LaneJob {
     pub meta: EnvMeta,
@@ -155,13 +156,13 @@ pub struct SessionHandle {
     /// rows (`None` while no design is loaded).
     gauges: Mutex<Option<SessionGauges>>,
     /// Per-session per-command latency histograms.
-    pub(crate) latency: Mutex<CommandStats>,
+    pub(crate) latency: Mutex<ByName>,
     /// Per-session per-stage duration histograms (`queue_wait`,
     /// `execute`, `reply_write`) feeding the
     /// `mgba_server_stage_us{session,stage}` family.
-    pub(crate) stage_latency: Mutex<CommandStats>,
+    pub(crate) stage_latency: Mutex<ByName>,
     /// Histogram of `whatif_batch` candidate counts (unit: candidates).
-    pub(crate) whatif_sizes: Mutex<LatencyHist>,
+    pub(crate) whatif_sizes: Mutex<Histogram>,
     /// When the session was last addressed — the TTL eviction clock.
     last_active: Mutex<Instant>,
     /// Lane jobs admitted but not yet dequeued — the
@@ -180,9 +181,9 @@ impl SessionHandle {
             name: name.to_owned(),
             request_seq: Mutex::new(0),
             gauges: Mutex::new(None),
-            latency: Mutex::new(CommandStats::default()),
-            stage_latency: Mutex::new(CommandStats::default()),
-            whatif_sizes: Mutex::new(LatencyHist::default()),
+            latency: Mutex::default(),
+            stage_latency: Mutex::default(),
+            whatif_sizes: Mutex::default(),
             last_active: Mutex::new(Instant::now()),
             pending_lane: AtomicUsize::new(0),
             rebuilds: AtomicU64::new(0),
@@ -192,8 +193,7 @@ impl SessionHandle {
     /// Records one request-stage duration into the per-session stage
     /// histograms (microseconds).
     pub(crate) fn record_stage(&self, stage: &'static str, d: Duration) {
-        let us = d.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.stage_latency.lock().unwrap().record(stage, us);
+        observe_us(&self.stage_latency, stage, d);
     }
 
     /// Crash-isolated rebuilds of this session's lane state.
@@ -1029,8 +1029,7 @@ fn process_lane(
         }
     };
     let exec = start.elapsed();
-    let us = exec.as_micros().min(u128::from(u64::MAX)) as u64;
-    handle.latency.lock().unwrap().record(name, us);
+    let us = observe_us(&handle.latency, name, exec);
     handle.record_stage("execute", exec);
     if obs::trace_enabled() {
         obs::trace::emit_complete(&format!("{name}/execute"), start, exec);
@@ -1060,10 +1059,10 @@ fn process_lane(
                 .whatif_sizes
                 .lock()
                 .unwrap()
-                .record(resizes.len() as u64);
+                .observe(resizes.len() as f64);
         }
     }
-    obs::observe(&format!("server.latency_us.{name}"), us as f64);
+    obs::observe(&format!("server.latency_us.{name}"), us);
     obs::counter_add(&format!("server.requests.{name}"), 1);
     shared.served.fetch_add(1, Ordering::SeqCst);
     // Durability: append + fsync the WAL record BEFORE the mutation is
@@ -1141,24 +1140,23 @@ pub(crate) fn render_stats(
     registry: &Registry,
     shared: &Shared,
 ) -> String {
-    let info = shared.info();
     let rows = registry.handles();
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.key("server");
     w.begin_obj();
     w.key("queue_depth");
-    w.u64(info.queue_depth as u64);
+    w.u64(shared.queue_depth as u64);
     w.key("sessions");
     w.u64(rows.len() as u64);
     w.key("served");
-    w.u64(info.served);
+    w.u64(shared.served.load(Ordering::SeqCst));
     w.key("rejected_overload");
-    w.u64(info.rejected_overload);
+    w.u64(shared.rejected_overload.load(Ordering::SeqCst));
     w.key("rejected_deadline");
-    w.u64(info.rejected_deadline);
+    w.u64(shared.rejected_deadline.load(Ordering::SeqCst));
     w.key("panics");
-    w.u64(info.panics);
+    w.u64(shared.panicked.load(Ordering::SeqCst));
     w.key("degraded");
     w.bool(session.is_degraded());
     w.key("threads");
@@ -1177,70 +1175,151 @@ pub(crate) fn render_stats(
     w.key("engine");
     session.write_engine_json(&mut w);
     w.key("commands");
-    handle.latency.lock().unwrap().write_json(&mut w);
+    write_latency_json(&mut w, &handle.latency.lock().unwrap());
     w.key("commands_all");
-    let mut merged = CommandStats::default();
-    for (_, h) in &rows {
-        merged.merge_from(&h.latency.lock().unwrap());
-    }
-    merged.write_json(&mut w);
+    let all = merge_by_name(rows.iter().map(|(_, h)| h.latency.lock().unwrap()));
+    write_latency_json(&mut w, &all);
     w.end_obj();
     w.finish()
 }
 
-/// One `{session}`-labeled family of the `metrics` exposition: name,
-/// help, whether it is a counter, and the sample a session's gauges
-/// give it (`None`: no sample for that session).
-type SessionFamily = (
-    &'static str,
-    &'static str,
-    bool,
-    fn(&SessionGauges) -> Option<f64>,
-);
+/// Writes `{"command": {count,mean_us,p50_us,p99_us,max_us}}` as one
+/// JSON value. Quantiles are the histogram's bucket-resolution
+/// estimates.
+fn write_latency_json(w: &mut JsonWriter, by_command: &ByName) {
+    w.begin_obj();
+    for (name, h) in by_command {
+        // Every entry holds at least one observation.
+        let s = h.snapshot(name);
+        w.key(name);
+        w.begin_obj();
+        w.key("count");
+        w.u64(s.count);
+        w.key("mean_us");
+        w.f64(s.sum / s.count as f64);
+        w.key("p50_us");
+        w.u64(s.quantile(0.50).map_or(0, |v| v as u64));
+        w.key("p99_us");
+        w.u64(s.quantile(0.99).map_or(0, |v| v as u64));
+        w.key("max_us");
+        w.u64(s.max as u64);
+        w.end_obj();
+    }
+    w.end_obj();
+}
 
-/// The per-session families, in exposition order.
-const SESSION_FAMILIES: [SessionFamily; 13] = [
+/// Merges per-name histogram maps (one per session) name by name.
+fn merge_by_name(maps: impl IntoIterator<Item = impl std::ops::Deref<Target = ByName>>) -> ByName {
+    let mut merged = ByName::new();
+    for map in maps {
+        for (name, h) in map.iter() {
+            merged.entry(name).or_default().merge(h);
+        }
+    }
+    merged
+}
+
+/// One resident session as the exposition sees it: live for the session
+/// serving the scrape, as last published by its own lane for the
+/// others.
+struct SessionRow<'a> {
+    name: &'a str,
+    handle: &'a SessionHandle,
+    degraded: bool,
+    gauges: Option<SessionGauges>,
+    /// The handle's latency and stage histograms, read once per scrape
+    /// so that the merged and the per-session families agree.
+    latency: ByName,
+    stages: ByName,
+}
+
+/// Where a `{session}`-labeled family's samples come from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// One sample per resident session; the family is written even
+    /// when the roster is empty.
+    Roster(fn(&SessionRow) -> f64),
+    /// One sample per loaded session that has a value; a family with
+    /// none is left out.
+    Gauges(fn(&SessionGauges) -> Option<f64>),
+}
+
+/// One `{session}`-labeled family of the `metrics` exposition: name,
+/// help, whether it is a counter, and its samples' source.
+type SessionFamily = (&'static str, &'static str, bool, Source);
+
+/// The per-session families written before the server-wide counters.
+const ROSTER_FAMILIES: [SessionFamily; 2] = [
+    (
+        "mgba_server_write_queue_depth",
+        "lane jobs admitted but not yet dequeued, per session",
+        false,
+        Source::Roster(|r| r.handle.write_queue_depth() as f64),
+    ),
+    (
+        "mgba_server_session_rebuilds_total",
+        "crash-isolated session state rebuilds (latency histograms survive them)",
+        true,
+        Source::Roster(|r| r.handle.rebuilds() as f64),
+    ),
+];
+
+/// The per-session families written after the server-wide ones, in
+/// exposition order.
+const SESSION_FAMILIES: [SessionFamily; 14] = [
+    (
+        "mgba_session_degraded",
+        "1 while serving fault-recovered state without calibration",
+        false,
+        Source::Roster(|r| if r.degraded { 1.0 } else { 0.0 }),
+    ),
     (
         "mgba_server_recalibrate_warm_total",
         "incremental warm-start recalibrations (dirty rows patched)",
         true,
-        |g| Some(g.recalib_warm as f64),
+        Source::Gauges(|g| Some(g.recalib_warm as f64)),
     ),
     (
         "mgba_server_recalibrate_cold_total",
         "full cold recalibrations (`full:true` or warm cache unavailable)",
         true,
-        |g| Some(g.recalib_cold as f64),
+        Source::Gauges(|g| Some(g.recalib_cold as f64)),
     ),
-    ("mgba_engine_wns", "worst negative slack, ps", false, |g| {
-        Some(g.wns)
-    }),
-    ("mgba_engine_tns", "total negative slack, ps", false, |g| {
-        Some(g.tns)
-    }),
+    (
+        "mgba_engine_wns",
+        "worst negative slack, ps",
+        false,
+        Source::Gauges(|g| Some(g.wns)),
+    ),
+    (
+        "mgba_engine_tns",
+        "total negative slack, ps",
+        false,
+        Source::Gauges(|g| Some(g.tns)),
+    ),
     (
         "mgba_engine_calibrated",
         "1 when mGBA weights are fitted",
         false,
-        |g| Some(if g.calibrated { 1.0 } else { 0.0 }),
+        Source::Gauges(|g| Some(if g.calibrated { 1.0 } else { 0.0 })),
     ),
     (
         "mgba_engine_full_updates_total",
         "full timing propagations",
         true,
-        |g| Some(g.full_updates as f64),
+        Source::Gauges(|g| Some(g.full_updates as f64)),
     ),
     (
         "mgba_engine_incremental_updates_total",
         "incremental timing propagations",
         true,
-        |g| Some(g.incremental_updates as f64),
+        Source::Gauges(|g| Some(g.incremental_updates as f64)),
     ),
     (
         "mgba_engine_cells_propagated_total",
         "cells touched by timing propagation",
         true,
-        |g| Some(g.cells_propagated as f64),
+        Source::Gauges(|g| Some(g.cells_propagated as f64)),
     ),
     // Calibration drift: sessions with at least one fit, describing
     // the most recent one.
@@ -1248,19 +1327,19 @@ const SESSION_FAMILIES: [SessionFamily; 13] = [
         "mgba_calibration_drift_mse",
         "mean squared mGBA-vs-PBA slack error after the latest fit, ps^2",
         false,
-        |g| g.latest_fit.as_ref().map(|r| r.mse_after),
+        Source::Gauges(|g| g.latest_fit.as_ref().map(|r| r.mse_after)),
     ),
     (
         "mgba_calibration_drift_rms_ps",
         "root-mean-squared mGBA-vs-PBA slack error after the latest fit, ps",
         false,
-        |g| g.latest_fit.as_ref().map(|r| r.mse_after.max(0.0).sqrt()),
+        Source::Gauges(|g| g.latest_fit.as_ref().map(|r| r.mse_after.max(0.0).sqrt())),
     ),
     (
         "mgba_calibration_drift_weight_sparsity_pct",
         "share of gates fitted to exactly zero weight, percent",
         false,
-        |g| {
+        Source::Gauges(|g| {
             g.latest_fit.as_ref().map(|r| {
                 if r.weights_total == 0 {
                     0.0
@@ -1268,21 +1347,62 @@ const SESSION_FAMILIES: [SessionFamily; 13] = [
                     100.0 * (r.weights_total - r.weights_nonzero) as f64 / r.weights_total as f64
                 }
             })
-        },
+        }),
     ),
     (
         "mgba_calibration_drift_commits_since_fit",
         "commits the latest fit absorbed since the previous fit",
         false,
-        |g| g.latest_fit.as_ref().map(|r| r.commits_since_fit as f64),
+        Source::Gauges(|g| g.latest_fit.as_ref().map(|r| r.commits_since_fit as f64)),
     ),
     (
         "mgba_calibration_drift_records",
         "drift records resident in the per-session history ring",
         false,
-        |g| g.latest_fit.as_ref().map(|_| g.history_len as f64),
+        Source::Gauges(|g| g.latest_fit.as_ref().map(|_| g.history_len as f64)),
     ),
 ];
+
+/// Writes `{session}`-labeled families, one sample per session row.
+fn write_session_families(p: &mut PromWriter, rows: &[SessionRow], families: &[SessionFamily]) {
+    for &(family, help, counter, source) in families {
+        let samples: Vec<(&str, f64)> = rows
+            .iter()
+            .filter_map(|r| {
+                let v = match source {
+                    Source::Roster(value) => value(r),
+                    Source::Gauges(value) => value(r.gauges.as_ref()?)?,
+                };
+                Some((r.name, v))
+            })
+            .collect();
+        if samples.is_empty() && matches!(source, Source::Gauges(_)) {
+            continue;
+        }
+        if counter {
+            p.counter_family(family, help);
+        } else {
+            p.gauge_family(family, help);
+        }
+        for (name, v) in samples {
+            p.sample_labels(family, &[("session", name)], v);
+        }
+    }
+}
+
+/// Writes one histogram family with one series per label set.
+fn write_histograms<'a>(
+    p: &mut PromWriter,
+    family: &str,
+    help: &str,
+    series: impl IntoIterator<Item = (Vec<(&'a str, &'a str)>, &'a Histogram)>,
+) {
+    p.histogram_family(family, help);
+    for (labels, h) in series {
+        let s = h.snapshot(family);
+        p.histogram_series_labels(family, &labels, &s.buckets, s.count, s.sum);
+    }
+}
 
 /// Renders the full Prometheus exposition: server counters, per-session
 /// engine, recalibration and drift figures (`{session="…"}` labels),
@@ -1298,14 +1418,31 @@ fn exposition(
     registry: &Registry,
     shared: &Shared,
 ) -> String {
-    use obs::prom::PromWriter;
-    let info = shared.info();
-    let rows = registry.handles();
+    let handles = registry.handles();
+    let rows: Vec<SessionRow> = handles
+        .iter()
+        .map(|(name, h)| {
+            let (degraded, gauges) = if name == handle.name() {
+                (session.is_degraded(), session.gauges())
+            } else {
+                let g = h.published();
+                (g.as_ref().is_some_and(|g| g.degraded), g)
+            };
+            SessionRow {
+                name,
+                handle: h,
+                degraded,
+                gauges,
+                latency: h.latency.lock().unwrap().clone(),
+                stages: h.stage_latency.lock().unwrap().clone(),
+            }
+        })
+        .collect();
     let mut p = PromWriter::new();
     p.gauge(
         "mgba_server_queue_depth",
         "configured bounded-queue depth",
-        info.queue_depth as f64,
+        shared.queue_depth as f64,
     );
     p.gauge(
         "mgba_server_sessions",
@@ -1314,7 +1451,7 @@ fn exposition(
     );
     p.gauge(
         "mgba_server_threads",
-        "worker pool size",
+        "kernel threads of the timing engine (--threads / MGBA_THREADS)",
         parallel::global().threads() as f64,
     );
     // Info-style build gauge: the value is always 1, the labels carry
@@ -1325,47 +1462,26 @@ fn exposition(
         &[("version", BUILD_VERSION), ("commit", BUILD_COMMIT)],
         1.0,
     );
-    p.gauge_family(
-        "mgba_server_write_queue_depth",
-        "lane jobs admitted but not yet dequeued, per session",
-    );
-    for (name, h) in &rows {
-        p.sample_labels(
-            "mgba_server_write_queue_depth",
-            &[("session", name)],
-            h.write_queue_depth() as f64,
-        );
-    }
-    p.counter_family(
-        "mgba_server_session_rebuilds_total",
-        "crash-isolated session state rebuilds (latency histograms survive them)",
-    );
-    for (name, h) in &rows {
-        p.sample_labels(
-            "mgba_server_session_rebuilds_total",
-            &[("session", name)],
-            h.rebuilds() as f64,
-        );
-    }
+    write_session_families(&mut p, &rows, &ROSTER_FAMILIES);
     p.counter(
         "mgba_server_served_total",
         "requests executed to completion",
-        info.served,
+        shared.served.load(Ordering::SeqCst),
     );
     p.counter(
         "mgba_server_rejected_overload_total",
         "requests rejected with a full queue",
-        info.rejected_overload,
+        shared.rejected_overload.load(Ordering::SeqCst),
     );
     p.counter(
         "mgba_server_rejected_deadline_total",
         "requests whose admission deadline expired while queued",
-        info.rejected_deadline,
+        shared.rejected_deadline.load(Ordering::SeqCst),
     );
     p.counter(
         "mgba_server_panics_total",
         "request handlers that panicked and were crash-isolated",
-        info.panics,
+        shared.panicked.load(Ordering::SeqCst),
     );
     p.counter(
         "mgba_server_sessions_evicted_total",
@@ -1407,131 +1523,52 @@ fn exposition(
         "mgba_lint_issues_total",
         "issues found by `lint` commands, by severity",
     );
-    p.sample_labels(
-        "mgba_lint_issues_total",
-        &[("severity", "error")],
-        lint_errors as f64,
-    );
-    p.sample_labels(
-        "mgba_lint_issues_total",
-        &[("severity", "warning")],
-        lint_warnings as f64,
-    );
-    // Per-session figures: live for the session serving this request,
-    // as last published by their own lanes for the others.
-    let figures: Vec<(&str, bool, Option<SessionGauges>)> = rows
-        .iter()
-        .map(|(name, h)| {
-            if name == handle.name() {
-                (name.as_str(), session.is_degraded(), session.gauges())
-            } else {
-                let g = h.published();
-                (name.as_str(), g.as_ref().is_some_and(|g| g.degraded), g)
-            }
-        })
-        .collect();
-    p.gauge_family(
-        "mgba_session_degraded",
-        "1 while serving fault-recovered state without calibration",
-    );
-    for (name, degraded, _) in &figures {
+    for (severity, n) in [("error", lint_errors), ("warning", lint_warnings)] {
         p.sample_labels(
-            "mgba_session_degraded",
-            &[("session", name)],
-            if *degraded { 1.0 } else { 0.0 },
+            "mgba_lint_issues_total",
+            &[("severity", severity)],
+            n as f64,
         );
     }
-    let loaded: Vec<(&str, &SessionGauges)> = figures
-        .iter()
-        .filter_map(|(name, _, g)| Some((*name, g.as_ref()?)))
-        .collect();
-    // One labeled sample per session that has a value; a family with
-    // none is left out.
-    for (family, help, counter, value) in SESSION_FAMILIES {
-        let samples: Vec<(&str, f64)> = loaded
-            .iter()
-            .filter_map(|(name, g)| Some((*name, value(g)?)))
-            .collect();
-        if samples.is_empty() {
-            continue;
-        }
-        if counter {
-            p.counter_family(family, help);
-        } else {
-            p.gauge_family(family, help);
-        }
-        for (name, v) in samples {
-            p.sample_labels(family, &[("session", name)], v);
-        }
+    write_session_families(&mut p, &rows, &SESSION_FAMILIES);
+    let mut batch = Histogram::default();
+    for r in &rows {
+        batch.merge(&r.handle.whatif_sizes.lock().unwrap());
     }
-    // Merged latency view under the original family name, so dashboards
+    // The merged view keeps the original family name, so dashboards
     // scraping `mgba_server_command_latency_us{cmd}` keep working.
-    let mut merged = CommandStats::default();
-    for (_, h) in &rows {
-        merged.merge_from(&h.latency.lock().unwrap());
-    }
-    p.histogram_family(
+    let merged = merge_by_name(rows.iter().map(|r| &r.latency));
+    write_histograms(
+        &mut p,
         "mgba_server_command_latency_us",
         "per-command request latency across all sessions, microseconds",
+        merged.iter().map(|(cmd, h)| (vec![("cmd", *cmd)], h)),
     );
-    for (name, h) in merged.iter() {
-        p.histogram_series(
-            "mgba_server_command_latency_us",
-            Some(("cmd", name)),
-            &h.buckets(),
-            h.count,
-            h.sum_us as f64,
-        );
-    }
-    // Per-session breakdown under its own family.
-    p.histogram_family(
+    write_histograms(
+        &mut p,
         "mgba_server_session_command_latency_us",
         "per-session per-command request latency, microseconds",
+        rows.iter().flat_map(|r| {
+            r.latency
+                .iter()
+                .map(move |(cmd, h)| (vec![("session", r.name), ("cmd", *cmd)], h))
+        }),
     );
-    for (sname, h) in &rows {
-        let stats = h.latency.lock().unwrap().clone();
-        for (cmd, hist) in stats.iter() {
-            p.histogram_series_labels(
-                "mgba_server_session_command_latency_us",
-                &[("session", sname), ("cmd", cmd)],
-                &hist.buckets(),
-                hist.count,
-                hist.sum_us as f64,
-            );
-        }
-    }
-    // Per-session request-stage durations (queue wait, execute, reply
-    // write).
-    p.histogram_family(
+    write_histograms(
+        &mut p,
         "mgba_server_stage_us",
         "per-session request-stage durations, microseconds",
+        rows.iter().flat_map(|r| {
+            r.stages
+                .iter()
+                .map(move |(stage, h)| (vec![("session", r.name), ("stage", *stage)], h))
+        }),
     );
-    for (sname, h) in &rows {
-        let stats = h.stage_latency.lock().unwrap().clone();
-        for (stage, hist) in stats.iter() {
-            p.histogram_series_labels(
-                "mgba_server_stage_us",
-                &[("session", sname), ("stage", stage)],
-                &hist.buckets(),
-                hist.count,
-                hist.sum_us as f64,
-            );
-        }
-    }
-    let mut batch = LatencyHist::default();
-    for (_, h) in &rows {
-        batch.merge_from(&h.whatif_sizes.lock().unwrap());
-    }
-    p.histogram_family(
+    write_histograms(
+        &mut p,
         "mgba_server_whatif_batch_size",
         "candidates per whatif_batch request",
-    );
-    p.histogram_series(
-        "mgba_server_whatif_batch_size",
-        None,
-        &batch.buckets(),
-        batch.count,
-        batch.sum_us as f64,
+        [(Vec::new(), &batch)],
     );
     let mut text = p.finish();
     // The obs registry rides along when profiling is enabled.
@@ -1729,14 +1766,61 @@ mod tests {
     }
 
     #[test]
+    fn stats_and_exposition_read_one_latency_histogram() {
+        let (registry, entries) = registry_with(&["s"]);
+        let handle = &entries[0].handle;
+        for us in [3, 5, 100, 7_000] {
+            observe_us(&handle.latency, "wns", Duration::from_micros(us));
+        }
+        let session = Session::new();
+        let st = parse(&render_stats(&session, handle, &registry, &registry.shared)).unwrap();
+        let wns = st.get("commands").and_then(|c| c.get("wns")).unwrap();
+        let field = |key| wns.get(key).and_then(Value::as_u64).unwrap();
+        let (count, max_us, p50_us) = (field("count"), field("max_us"), field("p50_us"));
+        assert_eq!((count, max_us, p50_us), (4, 7_000, 8));
+
+        let m = parse(&render_metrics(
+            &session,
+            handle,
+            &registry,
+            &registry.shared,
+        ))
+        .unwrap();
+        let text = m.get("exposition").and_then(Value::as_str).unwrap();
+        let series = "mgba_server_session_command_latency_us";
+        let labels = "session=\"s\",cmd=\"wns\"";
+        assert!(
+            text.contains(&format!("{series}_count{{{labels}}} {count}.0\n")),
+            "{text}"
+        );
+        // Cumulative (le, count) pairs of the command's finite buckets.
+        let prefix = format!("{series}_bucket{{{labels},le=\"");
+        let buckets: Vec<(f64, u64)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix(&prefix)?.split_once("\"} "))
+            .filter(|(le, _)| *le != "+Inf")
+            .map(|(le, c)| (le.parse().unwrap(), c.parse::<f64>().unwrap() as u64))
+            .collect();
+        assert_eq!(buckets.last().map(|b| b.1), Some(count), "{text}");
+        // p50 is the first bound whose cumulative count reaches half the
+        // requests, clamped to the slowest one; the slowest lies in the
+        // last bucket that gained a request.
+        let p50 = buckets.iter().find(|b| 2 * b.1 >= count).unwrap().0;
+        assert_eq!(p50.min(max_us as f64), p50_us as f64);
+        let top = buckets.iter().position(|b| b.1 == count).unwrap();
+        assert!(buckets[top - 1].0 < max_us as f64 && max_us as f64 <= buckets[top].0);
+        close(&registry);
+    }
+
+    #[test]
     fn stats_and_metrics_render_per_session_and_merged_views() {
         let (registry, entries) = registry_with(&["alpha", "beta"]);
         let alpha = &entries[0];
         let beta = &entries[1];
-        alpha.handle.latency.lock().unwrap().record("ping", 12);
-        beta.handle.latency.lock().unwrap().record("wns", 4);
-        beta.handle.latency.lock().unwrap().record("wns", 70_000);
-        beta.handle.whatif_sizes.lock().unwrap().record(3);
+        observe_us(&alpha.handle.latency, "ping", Duration::from_micros(12));
+        observe_us(&beta.handle.latency, "wns", Duration::from_micros(4));
+        observe_us(&beta.handle.latency, "wns", Duration::from_micros(70_000));
+        beta.handle.whatif_sizes.lock().unwrap().observe(3.0);
         let mut session = Session::new();
         session
             .handle(&Command::Load {

@@ -30,22 +30,6 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Server-level counters assembled by the admission layer and handed to
-/// the registry-level `stats`/`metrics` renderers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerInfo {
-    /// Configured bounded-queue depth.
-    pub queue_depth: usize,
-    /// Requests executed to completion.
-    pub served: u64,
-    /// Requests rejected because the queue was full.
-    pub rejected_overload: u64,
-    /// Requests rejected because their admission deadline expired.
-    pub rejected_deadline: u64,
-    /// Request handlers that panicked and were crash-isolated.
-    pub panics: u64,
-}
-
 /// A design loaded into the session.
 struct Loaded {
     /// The spec string `load` used (generator spec or file path) —

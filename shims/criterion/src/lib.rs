@@ -10,7 +10,7 @@
 //! environment can support.
 //!
 //! As upstream, the first command-line argument that does not start
-//! with `-` filters the run (`cargo bench --bench solvers -- solver/`):
+//! with `-` filters the run (`cargo bench --bench solvers -- ablation/step`):
 //! only benchmarks whose `group/id` label contains it are timed. The
 //! group functions, and so their set-up code, still run for every
 //! group.
@@ -51,14 +51,6 @@ impl Criterion {
             filter: self.filter.clone(),
         }
     }
-
-    /// Runs a stand-alone benchmark outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, f: F) {
-        self.benchmark_group("").bench_function(id, f);
-    }
-
-    /// Finalizes the run (upstream prints a summary; nothing to do here).
-    pub fn final_summary(&mut self) {}
 }
 
 /// A named set of benchmarks sharing a sample-count setting.
@@ -78,11 +70,7 @@ impl BenchmarkGroup {
     /// Times `f` and prints per-iteration statistics, unless the run's
     /// filter excludes this benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, mut f: F) {
-        let label = if self.name.is_empty() {
-            id.to_string()
-        } else {
-            format!("{}/{}", self.name, id)
-        };
+        let label = format!("{}/{}", self.name, id);
         if self
             .filter
             .as_ref()
@@ -109,11 +97,6 @@ impl BenchmarkId {
     /// An id rendered from the benchmark's parameter value.
     pub fn from_parameter(p: impl Display) -> Self {
         Self(p.to_string())
-    }
-
-    /// An id with a function-name prefix and a parameter value.
-    pub fn new(name: impl Display, p: impl Display) -> Self {
-        Self(format!("{name}/{p}"))
     }
 }
 
