@@ -49,11 +49,10 @@ fn bench_timing_updates(c: &mut Criterion) {
 
     // Weight install: fold a fitted D10 weight vector into the engine,
     // then clear it, as every cold fit does around its solve. The period
-    // is `auto_period`'s, as in `mgba-sta calibrate D10`.
+    // is the derived one of `mgba-sta calibrate D10`.
     group.bench_function("weights_install", |b| {
         let netlist = DesignSpec::D10.generate();
-        let period = mgba::auto_period(&netlist).expect("D10 has violating paths");
-        let mut sta = mgba::build_engine(netlist, period).expect("valid design");
+        let mut sta = mgba::build_engine_auto(netlist).expect("D10 has violating paths");
         mgba::run_mgba(&mut sta, &MgbaConfig::default(), Solver::ScgRs);
         let weights: Vec<f64> = (0..sta.netlist().num_cells())
             .map(|i| sta.gate_weight(CellId::new(i)))

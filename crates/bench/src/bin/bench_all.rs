@@ -44,8 +44,7 @@ const SERVER_DESIGN: &str = "small:5";
 fn calibrate_scenario(name: &str, solver: Solver) -> ScenarioResult {
     run_scenario(name, || {
         let netlist = parse_design(CALIBRATE_DESIGN).expect("known design");
-        let period = auto_period(&netlist).expect("probe");
-        let mut sta = build_engine(netlist, period).expect("engine");
+        let mut sta = build_engine_auto(netlist).expect("engine");
         let config = MgbaConfig::default();
         let (report, accuracy) = run_mgba_with_accuracy(&mut sta, &config, solver);
         vec![
@@ -111,8 +110,7 @@ fn whatif_burst() -> ScenarioResult {
 fn warm_vs_cold() -> ScenarioResult {
     run_scenario("warm_vs_cold", || {
         let netlist = parse_design(CALIBRATE_DESIGN).expect("known design");
-        let period = auto_period(&netlist).expect("probe");
-        let mut sta = build_engine(netlist, period).expect("engine");
+        let mut sta = build_engine_auto(netlist).expect("engine");
         let config = MgbaConfig::default();
         let solver = Solver::ScgRs;
         let (_, calibration) = Calibration::fit(&mut sta, &config, solver);

@@ -13,7 +13,7 @@ pub mod harness;
 pub mod saturation;
 
 use netlist::DesignSpec;
-use sta::{DerateSet, Sdc, Sta};
+use sta::Sta;
 
 /// Fraction of the worst arrival by which the worst endpoint violates in
 /// the *analysis* experiments (Tables 3/4, figures). Deep enough that
@@ -46,22 +46,7 @@ pub fn flow_violation_fraction(spec: DesignSpec) -> f64 {
 }
 
 fn engine_at_fraction(spec: DesignSpec, frac: f64) -> Sta {
-    let netlist = spec.generate();
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(100_000.0),
-        DerateSet::standard(),
-    )
-    .expect("generated designs are valid");
-    let max_arrival = probe
-        .netlist()
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    let period = 100_000.0 - probe.wns() - frac * max_arrival;
-    Sta::new(netlist, Sdc::with_period(period), DerateSet::standard())
+    mgba::build_engine_at_fraction(spec.generate(), 100_000.0, frac)
         .expect("generated designs are valid")
 }
 

@@ -449,11 +449,8 @@ fn cmd_corners(args: &mut Args) -> Result<(), MgbaError> {
     let period: f64 = args.required_option("--period")?;
     args.finish()?;
     let netlist = load_netlist_file(&file)?;
-    let mc = sta::MultiCornerSta::new(
-        &netlist,
-        &Sdc::with_period(period),
-        sta::Corner::signoff_set(),
-    )?;
+    let mc =
+        sta::MultiCornerSta::new(&netlist, &mgba::sdc_at(period)?, sta::Corner::signoff_set())?;
     emit(&mc.report())?;
     Ok(())
 }
@@ -549,15 +546,14 @@ fn cmd_calibrate(args: &mut Args) -> Result<(), MgbaError> {
     let qor = args.option("--qor")?;
     args.finish()?;
     let netlist = load_design_or_file(&spec)?;
-    let period = match period {
-        Some(p) => p,
+    let mut sta = match period {
+        Some(p) => build_engine(netlist, p)?,
         None => {
-            let p = auto_period(&netlist)?;
-            eprintln!("auto-derived clock period {p:.1} ps");
-            p
+            let sta = build_engine_auto(netlist)?;
+            eprintln!("auto-derived clock period {:.1} ps", sta.sdc().clock_period);
+            sta
         }
     };
-    let mut sta = build_engine(netlist, period)?;
     let config = MgbaConfig::default();
     let report = match &qor {
         Some(path) => {

@@ -311,3 +311,26 @@ fn bad_usage_fails_with_usage_text() {
         .expect("runs");
     assert!(!out.status.success());
 }
+
+#[test]
+fn periods_that_are_not_finite_and_positive_are_refused() {
+    let nl = tmp("periods.nl");
+    run_ok(bin().args(["generate", "small:42", "--out"]).arg(&nl));
+    for cmd in ["report", "calibrate", "flow", "holdfix", "corners", "sdf"] {
+        for period in ["nan", "inf", "0", "-1"] {
+            let args = [cmd, "--period", period];
+            let out = bin().args(args).arg(&nl).output().expect("runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{cmd} --period {period}");
+            assert!(err.contains("error: bad period"), "{cmd} {period}: {err}");
+        }
+    }
+    // A design with no timed endpoint has no period to derive.
+    let tiny = "design tiny\nlibrary std45\ncell a IN_PORT input 0 0\n";
+    std::fs::write(&nl, tiny).unwrap();
+    let out = bin().arg("calibrate").arg(&nl).output().expect("runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot derive a clock period"), "{err}");
+    let _ = std::fs::remove_file(&nl);
+}

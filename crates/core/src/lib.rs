@@ -53,7 +53,10 @@ pub mod weights_io;
 
 pub use config::MgbaConfig;
 pub use error::{MgbaError, ParseError};
-pub use load::{auto_period, build_engine, load_design_or_file, load_netlist_file, parse_design};
+pub use load::{
+    auto_period, build_engine, build_engine_at_fraction, build_engine_auto, load_design_or_file,
+    load_netlist_file, parse_design, sdc_at,
+};
 pub use metrics::{PassRatio, PASS_ABS_TOL, PASS_REL_TOL};
 pub use problem::FitProblem;
 pub use report::{AccuracyReport, EndpointAccuracy, StageAccuracy};
@@ -77,7 +80,8 @@ pub mod prelude {
     pub use crate::config::MgbaConfig;
     pub use crate::error::{MgbaError, ParseError};
     pub use crate::load::{
-        auto_period, build_engine, load_design_or_file, load_netlist_file, parse_design,
+        auto_period, build_engine, build_engine_at_fraction, build_engine_auto,
+        load_design_or_file, load_netlist_file, parse_design,
     };
     pub use crate::metrics::PassRatio;
     pub use crate::problem::FitProblem;
@@ -491,18 +495,7 @@ mod tests {
     /// An engine whose clock period guarantees setup violations.
     fn tight_engine(seed: u64) -> Sta {
         let n = GeneratorConfig::small(seed).generate();
-        let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-        let max_arrival = probe
-            .netlist()
-            .endpoints()
-            .iter()
-            .map(|&e| probe.endpoint_arrival(e))
-            .filter(|a| a.is_finite())
-            .fold(0.0, f64::max);
-        // Probe WNS first: slack shifts 1:1 with the period, so this
-        // guarantees deep violations regardless of clock insertion delay.
-        let period = 10_000.0 - probe.wns() - 0.15 * max_arrival;
-        Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
+        build_engine_at_fraction(n, 10_000.0, 0.15).unwrap()
     }
 
     #[test]

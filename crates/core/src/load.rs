@@ -76,44 +76,101 @@ pub fn load_design_or_file(spec: &str) -> Result<Netlist, MgbaError> {
     }
 }
 
+/// The period [`auto_period`] and [`build_engine_auto`] time a design at,
+/// ps, and the fraction of its worst data arrival they tighten it by.
+const RELAXED: f64 = 10_000.0;
+const AUTO_FRACTION: f64 = 0.10;
+
+/// Constraints at a clock period, which must be finite and positive.
+///
+/// # Errors
+///
+/// Returns [`MgbaError::Usage`] (`bad period P`) for any other period.
+pub fn sdc_at(period: f64) -> Result<Sdc, MgbaError> {
+    if period > 0.0 && period.is_finite() {
+        Ok(Sdc::with_period(period))
+    } else {
+        Err(MgbaError::Usage(format!("bad period {period}")))
+    }
+}
+
+fn new_engine(netlist: Netlist, period: f64) -> Result<Sta, MgbaError> {
+    Ok(Sta::new(netlist, sdc_at(period)?, DerateSet::standard())?)
+}
+
 /// Builds the timing engine with the standard derate set.
 ///
 /// # Errors
 ///
-/// Returns [`MgbaError::Parse`] when the netlist fails structural
-/// validation (e.g. combinational cycles).
+/// Returns [`MgbaError::Usage`] for a period [`sdc_at`] refuses and
+/// [`MgbaError::Parse`] when the netlist fails structural validation
+/// (e.g. combinational cycles).
 pub fn build_engine(netlist: Netlist, period: f64) -> Result<Sta, MgbaError> {
     let _span = obs::span("sta_build");
-    Ok(Sta::new(
-        netlist,
-        Sdc::with_period(period),
-        DerateSet::standard(),
-    )?)
+    new_engine(netlist, period)
 }
 
-/// Picks a clock period that leaves the design with moderate setup
-/// violations (so a calibration fit has paths to work with): probe WNS at
-/// a relaxed period — slack shifts 1:1 with the period — then tighten by
-/// a tenth of the worst data arrival.
+/// The period rule of [`build_engine_at_fraction`], with `sta`'s period
+/// as `built_at`.
+fn period_at_fraction(sta: &Sta, fraction: f64) -> Result<f64, MgbaError> {
+    let max_arrival = sta
+        .endpoints()
+        .iter()
+        .map(|&e| sta.endpoint_arrival(e))
+        .filter(|a| a.is_finite())
+        .fold(0.0, f64::max);
+    let period = sta.sdc().clock_period - sta.wns() - fraction * max_arrival;
+    if period > 0.0 && period.is_finite() {
+        Ok(period)
+    } else {
+        Err(MgbaError::Usage(format!(
+            "cannot derive a clock period for `{}` (got {period} ps); give one",
+            sta.netlist().name()
+        )))
+    }
+}
+
+/// Builds one engine at `built_at`, then retargets it
+/// ([`Sta::set_period`]) to the period at which its worst endpoint
+/// violates by `fraction` of the worst data arrival: `built_at − WNS −
+/// fraction · max_arrival` (slack shifts 1:1 with the period; arrivals
+/// do not move). Bit-identical to a [`build_engine`] at that period.
 ///
 /// # Errors
 ///
-/// Returns [`MgbaError::Parse`] when the probe engine cannot be built.
+/// As [`build_engine`]; also [`MgbaError::Usage`] when the derived period
+/// is not finite and positive, as for a design with no timed endpoint.
+pub fn build_engine_at_fraction(
+    netlist: Netlist,
+    built_at: f64,
+    fraction: f64,
+) -> Result<Sta, MgbaError> {
+    let _span = obs::span("sta_build");
+    let mut sta = new_engine(netlist, built_at)?;
+    sta.set_period(period_at_fraction(&sta, fraction)?);
+    Ok(sta)
+}
+
+/// Builds the engine at a period that leaves the worst endpoint
+/// violating by a tenth of the worst data arrival, so a calibration fit
+/// has paths to work with.
+///
+/// # Errors
+///
+/// As [`build_engine_at_fraction`].
+pub fn build_engine_auto(netlist: Netlist) -> Result<Sta, MgbaError> {
+    build_engine_at_fraction(netlist, RELAXED, AUTO_FRACTION)
+}
+
+/// The period [`build_engine_auto`] derives, read off a throwaway probe
+/// engine, for callers that want only the number.
+///
+/// # Errors
+///
+/// As [`build_engine_auto`].
 pub fn auto_period(netlist: &Netlist) -> Result<f64, MgbaError> {
     let _span = obs::span("probe_period");
-    const RELAXED: f64 = 10_000.0;
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(RELAXED),
-        DerateSet::standard(),
-    )?;
-    let max_arrival = netlist
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    Ok(RELAXED - probe.wns() - 0.10 * max_arrival)
+    period_at_fraction(&new_engine(netlist.clone(), RELAXED)?, AUTO_FRACTION)
 }
 
 #[cfg(test)]
@@ -156,11 +213,31 @@ mod tests {
         ));
     }
 
+    /// The one-engine build equals a probe plus a second build at the
+    /// probed period, bit for bit.
     #[test]
     fn auto_period_yields_violations() {
-        let n = parse_design("small:9").unwrap();
-        let period = auto_period(&n).unwrap();
-        let sta = build_engine(n, period).unwrap();
-        assert!(sta.wns() < 0.0, "auto period must leave violations");
+        let bits = |s: &Sta| -> Vec<u64> {
+            let cells = (0..s.netlist().num_cells()).map(netlist::CellId::new);
+            let timing = cells.flat_map(|c| {
+                let (late, early) = (s.arrival_late(c), s.arrival_early(c));
+                [late, early, s.required_late(c), s.gate_delay(c)]
+            });
+            let slacks = s.endpoints().iter().map(|&e| s.setup_slack(e));
+            let totals = [s.sdc().clock_period, s.wns(), s.tns()];
+            timing
+                .chain(slacks)
+                .chain(totals)
+                .map(f64::to_bits)
+                .collect()
+        };
+        for spec in ["small:3", "small:9", "small:77", "D1", "D5", "D10"] {
+            let n = parse_design(spec).unwrap();
+            let want = build_engine(n.clone(), auto_period(&n).unwrap()).unwrap();
+            let got = build_engine_auto(n).unwrap();
+            assert!(got.wns() < 0.0, "{spec}: auto period must leave violations");
+            assert!(bits(&got) == bits(&want), "{spec}: timing differs");
+            assert_eq!(got.stats, want.stats, "{spec}");
+        }
     }
 }

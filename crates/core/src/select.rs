@@ -103,23 +103,10 @@ pub fn select_paths(sta: &Sta, scheme: SelectionScheme, only_violating: bool) ->
 mod tests {
     use super::*;
     use netlist::GeneratorConfig;
-    use sta::{DerateSet, Sdc};
 
     fn tight_engine(seed: u64) -> Sta {
         let n = GeneratorConfig::small(seed).generate();
-        // Pick a period that produces violations: run once, then tighten.
-        let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-        let max_arrival = probe
-            .netlist()
-            .endpoints()
-            .iter()
-            .map(|&e| probe.endpoint_arrival(e))
-            .filter(|a| a.is_finite())
-            .fold(0.0, f64::max);
-        // Probe WNS first: slack shifts 1:1 with the period, so this
-        // guarantees deep violations regardless of clock insertion delay.
-        let period = 10_000.0 - probe.wns() - 0.15 * max_arrival;
-        Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
+        crate::build_engine_at_fraction(n, 10_000.0, 0.15).unwrap()
     }
 
     #[test]

@@ -349,24 +349,9 @@ fn a_non_finite_entry_outside_every_round_trips_the_guard_as_before() {
 #[test]
 fn sparse_solvers_match_the_dense_loops_on_d1_flow_fits() {
     use crate::select::{select_paths, SelectionScheme};
-    use sta::{DerateSet, Sdc, Sta};
     // D1 at the closure flow's period (see `bench::build_flow_engine`).
     let netlist = netlist::DesignSpec::D1.generate();
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(100_000.0),
-        DerateSet::standard(),
-    )
-    .unwrap();
-    let max_arrival = probe
-        .netlist()
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    let period = 100_000.0 - probe.wns() - 0.15 * 0.45 * max_arrival;
-    let sta = Sta::new(netlist, Sdc::with_period(period), DerateSet::standard()).unwrap();
+    let sta = crate::build_engine_at_fraction(netlist, 100_000.0, 0.15 * 0.45).unwrap();
     // The repair phase fits violating paths; recovery fits every
     // endpoint's five worst.
     for (phase, only_violating, k) in [("repair", true, 20), ("recovery", false, 5)] {

@@ -186,9 +186,8 @@ mod tests {
 
     fn fitted_engine() -> (Sta, Vec<f64>) {
         let n = GeneratorConfig::small(1201).generate();
-        let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-        let period = 10_000.0 - probe.wns() - 300.0;
-        let mut sta = Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap();
+        let mut sta = Sta::new(n, Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
+        sta.set_period(10_000.0 - sta.wns() - 300.0);
         let report = run_mgba(&mut sta, &MgbaConfig::default(), Solver::Cgnr);
         (sta, report.weights)
     }

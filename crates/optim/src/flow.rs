@@ -413,20 +413,10 @@ mod tests {
     use sta::{DerateSet, Sdc};
 
     /// Builds an engine whose clock period puts the worst endpoint at a
-    /// violation of `frac` of the worst data arrival (probing WNS first,
-    /// because slack shifts 1:1 with the period).
+    /// violation of `frac` of the worst data arrival.
     fn tight_design(seed: u64, frac: f64) -> Sta {
         let n = GeneratorConfig::small(seed).generate();
-        let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-        let max_arrival = probe
-            .netlist()
-            .endpoints()
-            .iter()
-            .map(|&e| probe.endpoint_arrival(e))
-            .filter(|a| a.is_finite())
-            .fold(0.0, f64::max);
-        let period = 10_000.0 - probe.wns() - frac * max_arrival;
-        Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
+        mgba::build_engine_at_fraction(n, 10_000.0, frac).unwrap()
     }
 
     #[test]

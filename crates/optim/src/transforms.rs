@@ -143,22 +143,11 @@ pub fn repair_path(sta: &mut Sta, path: &Path, buffer_seq: &mut u64) -> Transfor
 mod tests {
     use super::*;
     use netlist::GeneratorConfig;
-    use sta::{paths::worst_paths_to_endpoint, DerateSet, Sdc};
+    use sta::paths::worst_paths_to_endpoint;
 
     fn tight_engine(seed: u64) -> Sta {
         let n = GeneratorConfig::small(seed).generate();
-        let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-        let max_arrival = probe
-            .netlist()
-            .endpoints()
-            .iter()
-            .map(|&e| probe.endpoint_arrival(e))
-            .filter(|a| a.is_finite())
-            .fold(0.0, f64::max);
-        // Probe WNS first: slack shifts 1:1 with the period, so this
-        // guarantees violations regardless of clock-tree insertion delay.
-        let period = 10_000.0 - probe.wns() - 0.1 * max_arrival;
-        Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
+        mgba::build_engine_at_fraction(n, 10_000.0, 0.1).unwrap()
     }
 
     #[test]

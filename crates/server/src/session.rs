@@ -35,8 +35,6 @@ struct Loaded {
     /// The spec string `load` used (generator spec or file path) —
     /// recorded into checkpoints and snapshots.
     spec: String,
-    /// Clock period, ps.
-    period: f64,
     /// The resident timing engine.
     sta: Sta,
     /// Solver of the most recent fit, reused by commit-triggered
@@ -651,7 +649,7 @@ impl Session {
                 w.key("design");
                 w.str(l.sta.netlist().name());
                 w.key("period");
-                w.f64(l.period);
+                w.f64(l.sta.sdc().clock_period);
                 w.key("calibrated");
                 w.bool(l.solver.is_some());
                 w.key("full_updates");
@@ -761,15 +759,12 @@ impl Session {
 
     fn load(&mut self, spec: &str, period: Option<f64>) -> Result<String, MgbaError> {
         let netlist = mgba::load_design_or_file(spec)?;
-        let period = match period {
-            Some(p) if p > 0.0 && p.is_finite() => p,
-            Some(p) => return Err(usage(format!("bad period {p}"))),
-            None => mgba::auto_period(&netlist)?,
+        let sta = match period {
+            Some(p) => mgba::build_engine(netlist, p)?,
+            None => mgba::build_engine_auto(netlist)?,
         };
-        let sta = mgba::build_engine(netlist, period)?;
         let loaded = Loaded {
             spec: spec.to_owned(),
-            period,
             sta,
             solver: None,
             calibration: None,
@@ -784,7 +779,7 @@ impl Session {
         w.key("nets");
         w.u64(loaded.sta.netlist().num_nets() as u64);
         w.key("period");
-        w.f64(loaded.period);
+        w.f64(loaded.sta.sdc().clock_period);
         w.key("wns");
         w.f64(loaded.sta.wns());
         w.key("tns");
@@ -1197,7 +1192,7 @@ impl Session {
         w.key("design");
         w.str(loaded.sta.netlist().name());
         w.key("period");
-        w.f64(loaded.period);
+        w.f64(loaded.sta.sdc().clock_period);
         w.key("weights_applied");
         w.u64(design.weights.len() as u64);
         w.key("calibrated");
@@ -1229,7 +1224,7 @@ impl Session {
             .collect();
         DesignState {
             spec: l.spec.clone(),
-            period: l.period,
+            period: l.sta.sdc().clock_period,
             solver: l.solver,
             resizes: l.resizes.clone(),
             weights,
@@ -1259,7 +1254,6 @@ impl Session {
         }
         Ok(Loaded {
             spec: d.spec.clone(),
-            period: d.period,
             sta,
             solver: d.solver,
             calibration: None,
@@ -1817,6 +1811,32 @@ mod tests {
             Err(MgbaError::Usage(_)) => {}
             Err(e) => panic!("unexpected error {e}"),
         }
+    }
+
+    /// A design with no timed endpoint has no period to derive; with an
+    /// explicit one it snapshots and restores like any other.
+    #[test]
+    fn underivable_period_is_refused_and_explicit_one_restores() {
+        let dir = std::env::temp_dir().join(format!(
+            "mgba_server_session_test_{}_tiny",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (design, snap) = (dir.join("tiny.nl"), dir.join("tiny.mgba"));
+        let tiny = "design tiny\nlibrary std45\ncell a IN_PORT input 0 0\n";
+        std::fs::write(&design, tiny).unwrap();
+        let (design, snap) = (design.to_str().unwrap(), snap.to_str().unwrap());
+
+        let mut s = Session::new();
+        let load = format!(r#"{{"cmd":"load","design":"{design}"}}"#);
+        let err = handle(&mut s, &load).unwrap_err();
+        assert!(matches!(err, MgbaError::Usage(_)), "{err}");
+        let load = format!(r#"{{"cmd":"load","design":"{design}","period":900}}"#);
+        handle(&mut s, &load).unwrap();
+        handle(&mut s, &format!(r#"{{"cmd":"snapshot","file":"{snap}"}}"#)).unwrap();
+        let restore = format!(r#"{{"cmd":"restore","file":"{snap}"}}"#);
+        let r = obj(&handle(&mut Session::new(), &restore).unwrap());
+        assert_eq!(r.get("period").and_then(Value::as_f64), Some(900.0));
     }
 
     #[test]

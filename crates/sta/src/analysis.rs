@@ -443,6 +443,19 @@ impl Sta {
         credit
     }
 
+    /// Retargets the engine to clock period `period`, ps. Arrivals,
+    /// delays and slews do not read the period, so only the backward
+    /// (required-time) half of the sweep runs, over every cell, leaving
+    /// the engine bit-identical to a [`Sta::full_update`] at `period`.
+    /// `stats` is unchanged, so a fresh engine retargeted equals
+    /// [`Sta::new`] at `period`. Clears [`Sta::last_touched`] and
+    /// [`Sta::last_changed`].
+    pub fn set_period(&mut self, period: f64) {
+        self.sdc.clock_period = period;
+        self.dirty_bwd.mark_all(self.netlist.num_cells());
+        self.sweep();
+    }
+
     // ------------------------------------------------------------------
     // mGBA weights
     // ------------------------------------------------------------------

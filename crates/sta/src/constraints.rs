@@ -32,15 +32,6 @@ impl Sdc {
             output_delay: 0.0,
         }
     }
-
-    /// Returns a copy with a different clock period (used by the harness to
-    /// sweep target frequencies until a design has timing violations).
-    pub fn at_period(&self, clock_period: f64) -> Self {
-        Self {
-            clock_period,
-            ..self.clone()
-        }
-    }
 }
 
 impl Default for Sdc {
@@ -57,8 +48,6 @@ mod tests {
     fn construction() {
         let sdc = Sdc::with_period(800.0);
         assert_eq!(sdc.input_delay_late, 0.0);
-        let faster = sdc.at_period(600.0);
-        assert_eq!(faster.clock_period, 600.0);
         assert_eq!(Sdc::default().clock_period, 1000.0);
     }
 }

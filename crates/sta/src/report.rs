@@ -225,9 +225,9 @@ mod tests {
 
     fn engine() -> Sta {
         let n = GeneratorConfig::small(501).generate();
-        let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-        let period = 10_000.0 - probe.wns() - 200.0;
-        Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
+        let mut sta = Sta::new(n, Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
+        sta.set_period(10_000.0 - sta.wns() - 200.0);
+        sta
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn timing_bits(sta: &Sta) -> Vec<[u64; 7]> {
 }
 
 /// Applies one random edit (resize, revert, buffer insertion, weight
-/// install or clear) and names it.
+/// install or clear, retarget) and names it.
 fn random_step(
     sta: &mut Sta,
     rng: &mut StdRng,
@@ -145,7 +145,7 @@ fn random_step(
     buffers: &mut usize,
 ) -> String {
     let n = sta.netlist().num_cells();
-    match rng.random_range(0..6u32) {
+    match rng.random_range(0..7u32) {
         kind @ (0 | 1) => {
             let lib = sta.netlist().library();
             let sized = |c: CellId| {
@@ -222,6 +222,11 @@ fn random_step(
             sta.set_weights(&w);
             "set_weights".into()
         }
+        5 => {
+            let period = rng.random_range(500.0..3000.0);
+            sta.set_period(period);
+            format!("set_period {period}")
+        }
         _ => {
             sta.clear_weights();
             "clear_weights".into()
@@ -233,9 +238,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every update (resize, revert, buffer insertion, weight install,
-    /// weight clear) leaves each cell's delay, slew, arrivals, clock
-    /// arrivals and required time bit-identical to a full update of the
-    /// same netlist and weights.
+    /// weight clear, retarget) leaves each cell's delay, slew, arrivals,
+    /// clock arrivals and required time bit-identical to a full update of
+    /// the same netlist, weights and period.
     #[test]
     fn every_update_matches_a_full_update_bit_for_bit(
         d1_class in 0u32..2, seed in 0u64..1000, steps_seed in 0u64..1_000_000

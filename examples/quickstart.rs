@@ -17,14 +17,11 @@ fn main() -> Result<(), netlist::BuildError> {
         design.num_nets()
     );
 
-    // 2. Time it. Pick a period that leaves the worst endpoint violating.
-    let probe = Sta::new(
-        design.clone(),
-        Sdc::with_period(10_000.0),
-        DerateSet::standard(),
-    )?;
-    let period = 10_000.0 - probe.wns() - 250.0;
-    let mut sta = Sta::new(design, Sdc::with_period(period), DerateSet::standard())?;
+    // 2. Time it, then retarget to a period that leaves the worst
+    //    endpoint violating (slack shifts 1:1 with the period).
+    let mut sta = Sta::new(design, Sdc::with_period(10_000.0), DerateSet::standard())?;
+    let period = 10_000.0 - sta.wns() - 250.0;
+    sta.set_period(period);
     println!(
         "GBA timing @ {period:.0} ps: WNS = {:.1} ps, TNS = {:.1} ps, {} violating endpoints",
         sta.wns(),

@@ -3,26 +3,12 @@
 
 use mgba::{run_mgba, MgbaConfig, Solver};
 use netlist::GeneratorConfig;
-use sta::{gba_path_timing, pba_timing, select_critical_paths, DerateSet, Sdc, Sta};
+use sta::{gba_path_timing, pba_timing, select_critical_paths, Sta};
 
 fn engine(seed: u64, depth_frac: f64) -> Sta {
     let netlist = GeneratorConfig::small(seed).generate();
     netlist.validate().expect("generated design is valid");
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(10_000.0),
-        DerateSet::standard(),
-    )
-    .expect("probe engine builds");
-    let max_arrival = probe
-        .netlist()
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    let period = 10_000.0 - probe.wns() - depth_frac * max_arrival;
-    Sta::new(netlist, Sdc::with_period(period), DerateSet::standard()).expect("engine builds")
+    mgba::build_engine_at_fraction(netlist, 10_000.0, depth_frac).expect("engine builds")
 }
 
 #[test]

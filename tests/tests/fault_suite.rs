@@ -25,7 +25,7 @@ use mgba::{
 };
 use netlist::GeneratorConfig;
 use server::{serve_stream, Server, ServerConfig};
-use sta::{DerateSet, Sdc, Sta};
+use sta::Sta;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -33,21 +33,7 @@ use std::net::{SocketAddr, TcpStream};
 /// `end_to_end.rs`).
 fn engine(seed: u64) -> Sta {
     let netlist = GeneratorConfig::small(seed).generate();
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(10_000.0),
-        DerateSet::standard(),
-    )
-    .expect("probe engine builds");
-    let max_arrival = probe
-        .netlist()
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    let period = 10_000.0 - probe.wns() - 0.15 * max_arrival;
-    Sta::new(netlist, Sdc::with_period(period), DerateSet::standard()).expect("engine builds")
+    mgba::build_engine_at_fraction(netlist, 10_000.0, 0.15).expect("engine builds")
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {

@@ -5,25 +5,11 @@
 use mgba::{MgbaConfig, Solver};
 use netlist::GeneratorConfig;
 use optim::{run_flow, FlowConfig};
-use sta::{DerateSet, Sdc, Sta};
+use sta::Sta;
 
 fn flow_engine(seed: u64) -> Sta {
     let netlist = GeneratorConfig::small(seed).generate();
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(10_000.0),
-        DerateSet::standard(),
-    )
-    .unwrap();
-    let max_arrival = probe
-        .netlist()
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    let period = 10_000.0 - probe.wns() - 0.08 * max_arrival;
-    Sta::new(netlist, Sdc::with_period(period), DerateSet::standard()).unwrap()
+    mgba::build_engine_at_fraction(netlist, 10_000.0, 0.08).unwrap()
 }
 
 #[test]

@@ -23,20 +23,7 @@ fn obs_test() -> MutexGuard<'static, ()> {
 /// auto-derived calibrate period).
 fn engine(seed: u64) -> Sta {
     let netlist = GeneratorConfig::small(seed).generate();
-    let probe = Sta::new(
-        netlist.clone(),
-        Sdc::with_period(10_000.0),
-        DerateSet::standard(),
-    )
-    .expect("probe engine builds");
-    let max_arrival = netlist
-        .endpoints()
-        .iter()
-        .map(|&e| probe.endpoint_arrival(e))
-        .filter(|a| a.is_finite())
-        .fold(0.0, f64::max);
-    let period = 10_000.0 - probe.wns() - 0.15 * max_arrival;
-    Sta::new(netlist, Sdc::with_period(period), DerateSet::standard()).expect("engine builds")
+    mgba::build_engine_at_fraction(netlist, 10_000.0, 0.15).expect("engine builds")
 }
 
 fn calibrate(seed: u64, solver: Solver) -> (MgbaReport, Vec<f64>) {

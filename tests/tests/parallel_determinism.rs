@@ -16,9 +16,9 @@ use sta::{gba_path_timing_batch, pba_timing_batch, DerateSet, Sdc, Sta};
 /// A design tight enough to have real violations to fit against.
 fn tight_engine(seed: u64) -> Sta {
     let n = GeneratorConfig::small(seed).generate();
-    let probe = Sta::new(n.clone(), Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
-    let period = 10_000.0 - probe.wns() - 200.0;
-    Sta::new(n, Sdc::with_period(period), DerateSet::standard()).unwrap()
+    let mut sta = Sta::new(n, Sdc::with_period(10_000.0), DerateSet::standard()).unwrap();
+    sta.set_period(10_000.0 - sta.wns() - 200.0);
+    sta
 }
 
 #[test]
