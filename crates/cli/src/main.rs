@@ -434,14 +434,13 @@ fn cmd_holdfix(args: &mut Args) -> Result<(), MgbaError> {
     args.finish()?;
     let mut sta = build_engine(load_netlist_file(&file)?, period)?;
     let report = optim::fix_hold_violations(&mut sta, guard);
-    println!(
-        "hold violations {} -> {}, {} pad buffers inserted, {} skipped for setup",
+    emit(&format!(
+        "hold violations {} -> {}, {} pad buffers inserted, {} skipped for setup\n",
         report.violations_before,
         report.violations_after,
         report.buffers_added,
         report.skipped_for_setup
-    );
-    Ok(())
+    ))
 }
 
 fn cmd_corners(args: &mut Args) -> Result<(), MgbaError> {
@@ -495,36 +494,39 @@ fn cmd_report(args: &mut Args) -> Result<(), MgbaError> {
 }
 
 /// Prints the post-fit summary of `calibrate`.
-fn print_fit_report(report: &MgbaReport, sta: &Sta) {
-    println!("design {}: {}", report.design, report.solver_name);
-    println!(
-        "  {} paths fitted over {} weighted cells ({:.1}% gate coverage)",
+fn print_fit_report(report: &MgbaReport, sta: &Sta) -> Result<(), MgbaError> {
+    emit(&format!(
+        "design {}: {}\n",
+        report.design, report.solver_name
+    ))?;
+    emit(&format!(
+        "  {} paths fitted over {} weighted cells ({:.1}% gate coverage)\n",
         report.num_paths,
         report.num_gates,
         100.0 * report.coverage
-    );
-    println!(
-        "  solve: {} iterations, {} row gradients, {:.1} ms, converged = {}",
+    ))?;
+    emit(&format!(
+        "  solve: {} iterations, {} row gradients, {:.1} ms, converged = {}\n",
         report.iterations,
         report.rows_touched,
         report.solve_time.as_secs_f64() * 1e3,
         report.converged
-    );
-    println!(
-        "  mse vs golden PBA: {:.3e} -> {:.3e}",
+    ))?;
+    emit(&format!(
+        "  mse vs golden PBA: {:.3e} -> {:.3e}\n",
         report.mse_before, report.mse_after
-    );
-    println!(
-        "  pass ratio: {:.2}% -> {:.2}%",
+    ))?;
+    emit(&format!(
+        "  pass ratio: {:.2}% -> {:.2}%\n",
         report.pass_before.percent(),
         report.pass_after.percent()
-    );
-    println!(
-        "  corrected timing: WNS {:.1} ps, TNS {:.1} ps, {} violating endpoints",
+    ))?;
+    emit(&format!(
+        "  corrected timing: WNS {:.1} ps, TNS {:.1} ps, {} violating endpoints\n",
         sta.wns(),
         sta.tns(),
         sta.violating_endpoints().len()
-    );
+    ))
 }
 
 /// Fits mGBA weights to a generator spec or a netlist file, deriving a
@@ -569,8 +571,7 @@ fn cmd_calibrate(args: &mut Args) -> Result<(), MgbaError> {
         atomic_write_text(path, &text)?;
         eprintln!("wrote weights sidecar {path}");
     }
-    print_fit_report(&report, &sta);
-    Ok(())
+    print_fit_report(&report, &sta)
 }
 
 fn cmd_flow(args: &mut Args) -> Result<(), MgbaError> {
@@ -585,30 +586,29 @@ fn cmd_flow(args: &mut Args) -> Result<(), MgbaError> {
         other => return Err(MgbaError::Usage(format!("unknown timer `{other}`"))),
     };
     let r = run_flow(&mut sta, &cfg);
-    println!("design {} [{} timer]", r.design, r.timer);
-    println!(
-        "  {} passes: {} upsizes, {} buffers, {} recovery downsizes; closed = {}",
+    emit(&format!("design {} [{} timer]\n", r.design, r.timer))?;
+    emit(&format!(
+        "  {} passes: {} upsizes, {} buffers, {} recovery downsizes; closed = {}\n",
         r.passes, r.counts.upsizes, r.counts.buffers, r.counts.downsizes, r.closed
-    );
-    println!(
-        "  runtime {:.0} ms (mGBA fitting {:.0} ms)",
+    ))?;
+    emit(&format!(
+        "  runtime {:.0} ms (mGBA fitting {:.0} ms)\n",
         r.elapsed.as_secs_f64() * 1e3,
         r.mgba_time.as_secs_f64() * 1e3
-    );
-    println!(
-        "  area {:.0} -> {:.0} um^2, leakage {:.0} -> {:.0} nW, buffers {} -> {}",
+    ))?;
+    emit(&format!(
+        "  area {:.0} -> {:.0} um^2, leakage {:.0} -> {:.0} nW, buffers {} -> {}\n",
         r.qor_initial.area,
         r.qor_final.area,
         r.qor_initial.leakage,
         r.qor_final.leakage,
         r.qor_initial.buffers,
         r.qor_final.buffers
-    );
-    println!(
-        "  signoff PBA: WNS {:.1} ps, TNS {:.1} ps, {} violating endpoints",
+    ))?;
+    emit(&format!(
+        "  signoff PBA: WNS {:.1} ps, TNS {:.1} ps, {} violating endpoints\n",
         r.qor_final_pba.wns, r.qor_final_pba.tns, r.qor_final_pba.violating_endpoints
-    );
-    Ok(())
+    ))
 }
 
 /// Runs the JSON-lines timing-query daemon (see `DESIGN.md` §9 for the

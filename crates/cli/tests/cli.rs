@@ -2,7 +2,7 @@
 //! through a real process over real files.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mgba-sta"))
@@ -124,6 +124,31 @@ fn corners_and_flow_and_holdfix_run() {
         .expect("runs");
     assert!(hold.status.success());
     assert!(String::from_utf8_lossy(&hold.stdout).contains("hold violations"));
+    let _ = std::fs::remove_file(&nl);
+}
+
+/// Runs `cmd` with its stdout pipe closed before the child writes: a
+/// reader that goes away (`mgba-sta ... | head -c 10`) is a clean exit.
+fn exits_cleanly_into_a_closed_pipe(cmd: &mut Command) {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{cmd:?} exited {}: {err}", out.status);
+    assert!(!err.contains("panicked"), "{cmd:?}: {err}");
+}
+
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    let nl = tmp("closed.nl");
+    run_ok(bin().args(["generate", "small:7", "--out"]).arg(&nl));
+    exits_cleanly_into_a_closed_pipe(bin().args(["calibrate", "small:7"]));
+    exits_cleanly_into_a_closed_pipe(bin().arg("flow").arg(&nl).args(["--period", "1200"]));
+    exits_cleanly_into_a_closed_pipe(bin().arg("holdfix").arg(&nl).args(["--period", "1500"]));
     let _ = std::fs::remove_file(&nl);
 }
 

@@ -1,6 +1,5 @@
 //! Configuration of the mGBA fitting flow, with the paper's defaults.
 
-use crate::error::MgbaError;
 use parallel::Parallelism;
 use serde::{Deserialize, Serialize};
 
@@ -97,12 +96,6 @@ impl Default for MgbaConfig {
 }
 
 impl MgbaConfig {
-    /// Config with a different seed (for repeated stochastic runs).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Config with an explicit thread count (`0` = process default,
     /// `1` = serial).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -113,78 +106,6 @@ impl MgbaConfig {
     /// The resolved [`Parallelism`] for this run.
     pub fn parallelism(&self) -> Parallelism {
         Parallelism::new(self.threads)
-    }
-
-    /// Checks every field's range, so bad values surface as a typed
-    /// [`MgbaError::Config`] instead of a silent mis-fit deep in the
-    /// solver. Useful for configs assembled by struct literal or
-    /// deserialized from disk.
-    ///
-    /// ```
-    /// use mgba::MgbaConfig;
-    ///
-    /// let config = MgbaConfig {
-    ///     epsilon: 0.05,
-    ///     paths_per_endpoint: 10,
-    ///     ..MgbaConfig::default()
-    /// };
-    /// assert!(config.validate().is_ok());
-    /// let bad = MgbaConfig {
-    ///     penalty: -1.0,
-    ///     ..MgbaConfig::default()
-    /// };
-    /// assert!(bad.validate().is_err());
-    /// ```
-    pub fn validate(&self) -> Result<(), MgbaError> {
-        if self.paths_per_endpoint < 1 {
-            return Err(MgbaError::config(
-                "paths_per_endpoint",
-                "must be ≥ 1 (the fit needs at least one path per endpoint)",
-            ));
-        }
-        if self.epsilon < 0.0 || !self.epsilon.is_finite() {
-            return Err(MgbaError::config(
-                "epsilon",
-                format!("must be a finite value ≥ 0, got {}", self.epsilon),
-            ));
-        }
-        if self.penalty <= 0.0 || !self.penalty.is_finite() {
-            return Err(MgbaError::config(
-                "penalty",
-                format!("must be a finite value > 0, got {}", self.penalty),
-            ));
-        }
-        if !(self.initial_row_ratio > 0.0 && self.initial_row_ratio <= 1.0) {
-            return Err(MgbaError::config(
-                "initial_row_ratio",
-                format!("must be in (0, 1], got {}", self.initial_row_ratio),
-            ));
-        }
-        if !(self.row_fraction > 0.0 && self.row_fraction <= 1.0) {
-            return Err(MgbaError::config(
-                "row_fraction",
-                format!("must be in (0, 1], got {}", self.row_fraction),
-            ));
-        }
-        if self.step_size <= 0.0 || !self.step_size.is_finite() {
-            return Err(MgbaError::config(
-                "step_size",
-                format!("must be a finite value > 0, got {}", self.step_size),
-            ));
-        }
-        if self.check_window < 1 {
-            return Err(MgbaError::config("check_window", "must be ≥ 1"));
-        }
-        if self.divergence_factor <= 1.0 || !self.divergence_factor.is_finite() {
-            return Err(MgbaError::config(
-                "divergence_factor",
-                format!("must be a finite value > 1, got {}", self.divergence_factor),
-            ));
-        }
-        if self.divergence_streak < 1 {
-            return Err(MgbaError::config("divergence_streak", "must be ≥ 1"));
-        }
-        Ok(())
     }
 }
 
@@ -204,53 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn with_seed_overrides() {
-        let c = MgbaConfig::default().with_seed(7);
-        assert_eq!(c.seed, 7);
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_values() {
-        use crate::error::MgbaError;
-        /// Moves one field of a default config out of range.
-        type Breaker = fn(&mut MgbaConfig);
-        let cases: [(&str, Breaker); 14] = [
-            ("epsilon", |c| c.epsilon = -0.1),
-            ("epsilon", |c| c.epsilon = f64::NAN),
-            ("penalty", |c| c.penalty = 0.0),
-            ("penalty", |c| c.penalty = f64::INFINITY),
-            ("initial_row_ratio", |c| c.initial_row_ratio = 0.0),
-            ("initial_row_ratio", |c| c.initial_row_ratio = 1.5),
-            ("row_fraction", |c| c.row_fraction = -0.2),
-            ("row_fraction", |c| c.row_fraction = 2.0),
-            ("paths_per_endpoint", |c| c.paths_per_endpoint = 0),
-            ("step_size", |c| c.step_size = 0.0),
-            ("check_window", |c| c.check_window = 0),
-            ("divergence_factor", |c| c.divergence_factor = 1.0),
-            ("divergence_factor", |c| c.divergence_factor = f64::NAN),
-            ("divergence_streak", |c| c.divergence_streak = 0),
-        ];
-        for (field, break_field) in cases {
-            let mut config = MgbaConfig::default();
-            break_field(&mut config);
-            match config.validate() {
-                Err(MgbaError::Config { field: f, .. }) => {
-                    assert_eq!(f, field, "wrong field reported")
-                }
-                other => panic!("{field}: expected Config error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn validate_checks_struct_literals() {
-        let mut c = MgbaConfig::default();
-        assert!(c.validate().is_ok());
-        c.row_fraction = 0.0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn guard_defaults_are_inert_and_settable() {
         let c = MgbaConfig::default();
         assert_eq!(c.solver_timeout_ms, 0, "no deadline by default");
@@ -262,7 +136,6 @@ mod tests {
             fallback: false,
             ..MgbaConfig::default()
         };
-        assert!(c.validate().is_ok());
         assert_eq!(c.solver_timeout_ms, 250);
         assert_eq!(c.divergence_factor, 50.0);
         assert_eq!(c.divergence_streak, 2);

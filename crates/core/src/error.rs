@@ -1,15 +1,14 @@
 //! The workspace-wide typed error, [`MgbaError`].
 //!
 //! Every fallible surface of the mGBA toolchain funnels into this enum:
-//! parsing (Liberty, Verilog, native netlist, weights), configuration
-//! validation ([`crate::MgbaConfig::validate`]), solver failures,
+//! parsing (native netlist, Verilog, EDIF, weights), solver failures,
 //! file I/O, and command-line usage. The variants keep their underlying
 //! causes (`source()` chains to the original parse error), so callers can
 //! match on the broad category and still drill down.
 
 use crate::weights_io::WeightsError;
 use ingest::EdifError;
-use netlist::{BuildError, ParseLibertyError, ParseNetlistError, ParseVerilogError};
+use netlist::{BuildError, ParseNetlistError, ParseVerilogError};
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
@@ -21,8 +20,6 @@ pub enum ParseError {
     Netlist(ParseNetlistError),
     /// Structural Verilog.
     Verilog(ParseVerilogError),
-    /// Liberty library.
-    Liberty(ParseLibertyError),
     /// Netlist graph construction.
     Build(BuildError),
     /// Weights sidecar file.
@@ -36,7 +33,6 @@ impl fmt::Display for ParseError {
         match self {
             ParseError::Netlist(e) => write!(f, "netlist: {e}"),
             ParseError::Verilog(e) => write!(f, "verilog: {e}"),
-            ParseError::Liberty(e) => write!(f, "liberty: {e}"),
             ParseError::Build(e) => write!(f, "netlist build: {e}"),
             ParseError::Weights(e) => write!(f, "weights: {e}"),
             ParseError::Edif(e) => write!(f, "edif: {e}"),
@@ -49,7 +45,6 @@ impl ParseError {
         match self {
             ParseError::Netlist(e) => e,
             ParseError::Verilog(e) => e,
-            ParseError::Liberty(e) => e,
             ParseError::Build(e) => e,
             ParseError::Weights(e) => e,
             ParseError::Edif(e) => e,
@@ -62,13 +57,6 @@ impl ParseError {
 pub enum MgbaError {
     /// An input file failed to parse or assemble.
     Parse(ParseError),
-    /// A configuration value failed validation.
-    Config {
-        /// The offending field.
-        field: &'static str,
-        /// Why it was rejected.
-        message: String,
-    },
     /// A solver failed to produce an acceptable solution.
     Solver {
         /// Paper-style solver name.
@@ -109,14 +97,6 @@ pub enum MgbaError {
 }
 
 impl MgbaError {
-    /// Constructs a [`MgbaError::Config`] for `field`.
-    pub fn config(field: &'static str, message: impl Into<String>) -> Self {
-        MgbaError::Config {
-            field,
-            message: message.into(),
-        }
-    }
-
     /// Constructs a [`MgbaError::Io`] wrapping an OS error for `path`.
     pub fn io(path: impl Into<PathBuf>, source: std::io::Error) -> Self {
         MgbaError::Io {
@@ -139,9 +119,6 @@ impl fmt::Display for MgbaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MgbaError::Parse(e) => write!(f, "parse error: {e}"),
-            MgbaError::Config { field, message } => {
-                write!(f, "invalid config: {field}: {message}")
-            }
             MgbaError::Solver { solver, message } => {
                 write!(f, "solver {solver}: {message}")
             }
@@ -171,8 +148,7 @@ impl Error for MgbaError {
         match self {
             MgbaError::Parse(e) => Some(e.inner()),
             MgbaError::Io { source, .. } => Some(source),
-            MgbaError::Config { .. }
-            | MgbaError::Solver { .. }
+            MgbaError::Solver { .. }
             | MgbaError::Usage(_)
             | MgbaError::Timeout { .. }
             | MgbaError::Lint { .. }
@@ -190,12 +166,6 @@ impl From<ParseNetlistError> for MgbaError {
 impl From<ParseVerilogError> for MgbaError {
     fn from(e: ParseVerilogError) -> Self {
         MgbaError::Parse(ParseError::Verilog(e))
-    }
-}
-
-impl From<ParseLibertyError> for MgbaError {
-    fn from(e: ParseLibertyError) -> Self {
-        MgbaError::Parse(ParseError::Liberty(e))
     }
 }
 
@@ -227,13 +197,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.starts_with("parse error: netlist:"), "{s}");
         assert!(e.source().is_some());
-
-        let e = MgbaError::config("epsilon", "must be ≥ 0, got -1");
-        assert_eq!(
-            e.to_string(),
-            "invalid config: epsilon: must be ≥ 0, got -1"
-        );
-        assert!(e.source().is_none());
     }
 
     #[test]
@@ -251,7 +214,6 @@ mod tests {
         fn takes(_: MgbaError) {}
         takes(ParseNetlistError::UnsupportedLibrary("foo".into()).into());
         takes(ParseVerilogError::Syntax("x".into()).into());
-        takes(ParseLibertyError::Syntax("y".into()).into());
         takes(
             WeightsError::Malformed {
                 line: 2,

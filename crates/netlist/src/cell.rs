@@ -27,14 +27,6 @@ pub enum CellRole {
 }
 
 impl CellRole {
-    /// Whether this cell launches or terminates data paths.
-    pub fn is_path_boundary(self) -> bool {
-        matches!(
-            self,
-            CellRole::Input | CellRole::Output | CellRole::Sequential
-        )
-    }
-
     /// Whether this cell belongs to the clock network.
     pub fn is_clock_network(self) -> bool {
         matches!(self, CellRole::ClockSource | CellRole::ClockBuffer)
@@ -80,17 +72,6 @@ impl Cell {
             output: None,
         }
     }
-
-    /// Iterates over the connected input nets (skipping unconnected slots).
-    pub fn input_nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.inputs.iter().filter_map(|n| *n)
-    }
-
-    /// Whether every input pin is connected and the output (if required)
-    /// drives a net.
-    pub fn fully_connected(&self, has_output: bool) -> bool {
-        self.inputs.iter().all(Option::is_some) && (!has_output || self.output.is_some())
-    }
 }
 
 #[cfg(test)]
@@ -99,9 +80,6 @@ mod tests {
 
     #[test]
     fn role_predicates() {
-        assert!(CellRole::Input.is_path_boundary());
-        assert!(CellRole::Sequential.is_path_boundary());
-        assert!(!CellRole::Combinational.is_path_boundary());
         assert!(CellRole::ClockBuffer.is_clock_network());
         assert!(CellRole::ClockSource.is_clock_network());
         assert!(!CellRole::Sequential.is_clock_network());
@@ -117,7 +95,7 @@ mod tests {
             Point::ORIGIN,
         );
         assert_eq!(c.inputs.len(), 2);
-        assert_eq!(c.input_nets().count(), 0);
-        assert!(!c.fully_connected(true));
+        assert!(c.inputs.iter().all(Option::is_none));
+        assert!(c.output.is_none());
     }
 }

@@ -40,7 +40,6 @@ pub mod cell;
 pub mod format;
 pub mod generate;
 pub mod ids;
-pub mod liberty;
 pub mod library;
 pub mod lint;
 pub mod netlist;
@@ -52,7 +51,6 @@ pub use cell::{Cell, CellRole};
 pub use format::{lint_netlist_text, parse_netlist, write_netlist, ParseNetlistError};
 pub use generate::{DesignSpec, GeneratorConfig};
 pub use ids::{CellId, LibCellId, NetId, PinIndex};
-pub use liberty::{parse_liberty, write_liberty, ParseLibertyError};
 pub use library::{DriveStrength, Function, LibCell, Library};
 pub use lint::{
     lint_netlist, lint_netlist_spanned, LintIssue, LintReport, Severity, SourceMap, SrcSpan,

@@ -130,23 +130,6 @@ impl Function {
             "Y"
         }
     }
-
-    /// All functions that have characterized library cells.
-    pub fn all_characterized() -> &'static [Function] {
-        &[
-            Function::Buf,
-            Function::Inv,
-            Function::Nand2,
-            Function::Nor2,
-            Function::And2,
-            Function::Or2,
-            Function::Xor2,
-            Function::Mux2,
-            Function::Aoi21,
-            Function::Dff,
-            Function::ClkBuf,
-        ]
-    }
 }
 
 impl fmt::Display for Function {
@@ -225,7 +208,7 @@ impl fmt::Display for DriveStrength {
     }
 }
 
-/// One characterized cell variant (a row of the Liberty file).
+/// One characterized cell variant (one `cell` group of a Liberty file).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LibCell {
     /// Variant name, e.g. `NAND2_X2`.
@@ -274,20 +257,13 @@ impl LibCell {
     pub fn output_slew(&self, load: f64) -> f64 {
         self.slew_intrinsic + self.slew_res * load
     }
-
-    /// Whether `load` exceeds the characterized maximum.
-    #[inline]
-    pub fn overloaded(&self, load: f64) -> bool {
-        load > self.max_load
-    }
 }
 
 /// A characterized cell library.
 ///
 /// Use [`Library::standard`] for the default 45 nm-flavoured library, or
 /// build a custom characterization incrementally with [`Library::new`] +
-/// [`Library::add`] (or read a Liberty file via
-/// [`parse_liberty`](crate::liberty::parse_liberty)).
+/// [`Library::add`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Library {
     name: String,
@@ -491,7 +467,20 @@ mod tests {
     #[test]
     fn standard_library_has_all_variants() {
         let lib = Library::standard();
-        for &f in Function::all_characterized() {
+        let characterized = [
+            Function::Buf,
+            Function::Inv,
+            Function::Nand2,
+            Function::Nor2,
+            Function::And2,
+            Function::Or2,
+            Function::Xor2,
+            Function::Mux2,
+            Function::Aoi21,
+            Function::Dff,
+            Function::ClkBuf,
+        ];
+        for f in characterized {
             for &d in DriveStrength::ladder() {
                 let id = lib
                     .variant(f, d)
@@ -560,14 +549,6 @@ mod tests {
         assert!(Function::Nand2.is_combinational());
         assert!(Function::Input.is_port());
         assert!(!Function::ClkBuf.is_port());
-    }
-
-    #[test]
-    fn overload_detection() {
-        let lib = Library::standard();
-        let c = lib.cell(lib.variant(Function::Inv, DriveStrength::X1).unwrap());
-        assert!(c.overloaded(c.max_load + 1.0));
-        assert!(!c.overloaded(c.max_load));
     }
 
     #[test]

@@ -208,14 +208,6 @@ impl Netlist {
             .collect()
     }
 
-    /// All clock source ports.
-    pub fn clock_sources(&self) -> Vec<CellId> {
-        self.cells()
-            .filter(|(_, c)| c.role == CellRole::ClockSource)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Total placed cell area in µm² (ports excluded; they have zero area).
     pub fn total_area(&self) -> f64 {
         self.cells
@@ -256,15 +248,6 @@ impl Netlist {
             .iter()
             .map(|&(sink, _)| from.manhattan(self.cell(sink).loc))
             .sum()
-    }
-
-    /// Estimated wire length from the driver of `net` to one `sink` pin.
-    pub fn sink_length(&self, id: NetId, sink: CellId) -> f64 {
-        let net = self.net(id);
-        match net.driver {
-            Some(d) => self.cell(d).loc.manhattan(self.cell(sink).loc),
-            None => 0.0,
-        }
     }
 
     /// Estimated wire delay for a run of `length` µm: linear plus
@@ -908,7 +891,8 @@ mod tests {
         assert_eq!(n.num_cells(), 8);
         assert_eq!(n.startpoints().len(), 4); // in0, d0 + 2 FFs
         assert_eq!(n.endpoints().len(), 3); // y + 2 FFs
-        assert_eq!(n.clock_sources().len(), 1);
+        let clocks = n.cells().filter(|(_, c)| c.role == CellRole::ClockSource);
+        assert_eq!(clocks.count(), 1);
         assert!(n.total_area() > 0.0);
         assert!(n.total_leakage() > 0.0);
         assert_eq!(n.buffer_count(), 0);

@@ -7,7 +7,6 @@
 
 use crate::cell::CellRole;
 use crate::ids::PinIndex;
-use crate::library::DriveStrength;
 use crate::netlist::Netlist;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -139,11 +138,6 @@ impl DesignStats {
             leakage: netlist.total_leakage(),
         }
     }
-
-    /// Instance count at a given drive strength.
-    pub fn at_drive(&self, drive: DriveStrength) -> usize {
-        self.by_drive.get(&drive.to_string()).copied().unwrap_or(0)
-    }
 }
 
 impl fmt::Display for DesignStats {
@@ -203,12 +197,11 @@ mod tests {
     fn drive_mix_reflects_generator_fractions() {
         let n = GeneratorConfig::small(902).generate();
         let s = DesignStats::collect(&n);
-        let x1 = s.at_drive(DriveStrength::X1);
-        let x2 = s.at_drive(DriveStrength::X2);
-        let x4 = s.at_drive(DriveStrength::X4);
+        let count = |d: &str| s.by_drive.get(d).copied().unwrap_or(0);
+        let (x1, x2, x4) = (count("X1"), count("X2"), count("X4"));
         assert!(x1 > x2, "X1 majority: {x1} vs {x2}");
         assert!(x2 > 0 && x4 > 0);
-        assert_eq!(s.at_drive(DriveStrength::X8), 0, "generator stops at X4");
+        assert_eq!(count("X8"), 0, "generator stops at X4");
     }
 
     #[test]

@@ -74,9 +74,6 @@ pub struct FlowConfig {
     /// timing view. Absorbs the mGBA fit residual so recovery decisions
     /// made in the corrected view stay safe against golden PBA.
     pub recovery_guard: f64,
-    /// When set, run hold fixing after recovery with this setup guard
-    /// (see [`crate::hold::fix_hold_violations`]).
-    pub fix_hold: Option<f64>,
 }
 
 impl Default for FlowConfig {
@@ -89,7 +86,6 @@ impl Default for FlowConfig {
             stall_passes: 4,
             recovery: true,
             recovery_guard: 150.0,
-            fix_hold: None,
         }
     }
 }
@@ -308,13 +304,6 @@ pub fn run_flow(sta: &mut Sta, config: &FlowConfig) -> FlowResult {
         }
     }
 
-    // Optional hold-fixing phase (setup-guarded padding).
-    if let Some(guard) = config.fix_hold {
-        let _span = obs::span("hold_fix");
-        let report = crate::hold::fix_hold_violations(sta, guard);
-        counts.buffers += report.buffers_added as u64;
-    }
-
     let qor_final_timer_view = Qor::capture(sta);
     // Common yardsticks: original GBA view and golden PBA.
     sta.clear_weights();
@@ -506,19 +495,6 @@ mod tests {
         let r = run_flow(&mut sta, &FlowConfig::gba());
         assert!(r.closed, "a barely-violating design must close");
         assert_eq!(r.qor_final_timer_view.violating_endpoints, 0);
-    }
-
-    #[test]
-    fn hold_fixing_phase_reduces_hold_violations() {
-        let mut sta = tight_design(148, 0.05);
-        let hold_before = crate::hold::hold_violations(&sta).len();
-        let mut cfg = FlowConfig::gba();
-        cfg.fix_hold = Some(0.0);
-        let r = run_flow(&mut sta, &cfg);
-        let hold_after = crate::hold::hold_violations(&sta).len();
-        assert!(hold_after <= hold_before);
-        // Pads (if any were needed) are counted in the buffer tally.
-        let _ = r.counts.buffers;
     }
 
     #[test]

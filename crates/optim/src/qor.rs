@@ -80,19 +80,6 @@ impl Qor {
             0.0
         }
     }
-
-    /// Relative WNS/TNS improvement of `other` over `base` in percent:
-    /// positive when `other` is less negative (the paper's Table 2 sign
-    /// convention).
-    pub fn slack_improvement_percent(base: f64, other: f64) -> f64 {
-        if base.abs() > 0.0 {
-            (other - base) / base.abs() * 100.0
-        } else if other > base {
-            100.0
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,15 +105,5 @@ mod tests {
         assert_eq!(Qor::reduction_percent(100.0, 90.0), 10.0);
         assert_eq!(Qor::reduction_percent(100.0, 110.0), -10.0);
         assert_eq!(Qor::reduction_percent(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn slack_improvement_signs() {
-        // WNS −100 → −50: 50% improvement.
-        assert_eq!(Qor::slack_improvement_percent(-100.0, -50.0), 50.0);
-        // WNS −100 → −120: −20% (degradation, like the paper's D2).
-        assert_eq!(Qor::slack_improvement_percent(-100.0, -120.0), -20.0);
-        assert_eq!(Qor::slack_improvement_percent(0.0, 5.0), 100.0);
-        assert_eq!(Qor::slack_improvement_percent(0.0, 0.0), 0.0);
     }
 }

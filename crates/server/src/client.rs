@@ -59,8 +59,8 @@ impl Default for ClientConfig {
 pub struct WireError {
     /// Error category (legacy key; always equals `code`).
     pub kind: String,
-    /// Stable error code: `parse`, `config`, `solver`, `io`, `usage`,
-    /// `timeout`, `internal`, `overload`, `deadline`, or `shutdown`.
+    /// Stable error code: `parse`, `solver`, `io`, `usage`, `timeout`,
+    /// `internal`, `overload`, `deadline`, or `shutdown`.
     pub code: String,
     /// Human-readable description.
     pub message: String,

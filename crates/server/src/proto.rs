@@ -16,11 +16,11 @@
 //! alias and always holds the same value.
 //!
 //! Error codes for [`mgba::MgbaError`] variants are `"parse"`,
-//! `"config"`, `"solver"`, `"io"`, `"usage"`, `"timeout"`, and
-//! `"internal"` (a request handler panicked; the session was restored
-//! from its last good state); the server layer adds `"overload"`
-//! (bounded queue full), `"deadline"` (admission deadline expired while
-//! queued), and `"shutdown"` (received while draining). The durability
+//! `"solver"`, `"io"`, `"usage"`, `"timeout"`, and `"internal"` (a
+//! request handler panicked; the session was restored from its last
+//! good state); the server layer adds `"overload"` (bounded queue
+//! full), `"deadline"` (admission deadline expired while queued), and
+//! `"shutdown"` (received while draining). The durability
 //! layer (`serve --state-dir`, `DESIGN.md` §16) adds `"durability_lost"`
 //! (the session's write-ahead log could not be appended or fsynced, so
 //! the session is read-only until restart) and `"path_escape"`
@@ -611,7 +611,6 @@ fn parse_request_value(
 pub fn error_kind(e: &MgbaError) -> &'static str {
     match e {
         MgbaError::Parse(_) => "parse",
-        MgbaError::Config { .. } => "config",
         MgbaError::Solver { .. } => "solver",
         MgbaError::Io { .. } => "io",
         MgbaError::Usage(_) => "usage",

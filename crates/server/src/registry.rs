@@ -225,6 +225,10 @@ impl SessionHandle {
     /// Admits one job to the writer lane under the next request id. The
     /// id is committed only when the queue accepts the job — on `Full`
     /// it rolls back, so the next admitted request reuses it.
+    ///
+    /// The job is counted in `pending_lane` before it is sent: an idle
+    /// lane may dequeue it (and uncount it) before `try_send` returns,
+    /// and counting afterwards would wrap the gauge below zero.
     // The Err variant hands the whole rejected job back: the caller
     // must recover its reply channel to answer the overload envelope.
     #[allow(clippy::result_large_err)]
@@ -238,15 +242,18 @@ impl SessionHandle {
     ) -> Result<(), TrySendError<LaneJob>> {
         let mut seq = self.request_seq.lock().unwrap();
         let request_id = *seq + 1;
-        lane_tx.try_send(LaneJob {
+        self.pending_lane.fetch_add(1, Ordering::SeqCst);
+        if let Err(refused) = lane_tx.try_send(LaneJob {
             meta: meta.with_request_id(request_id),
             cmd,
             deadline_ms,
             reply,
             enqueued: Instant::now(),
-        })?;
+        }) {
+            self.pending_lane.fetch_sub(1, Ordering::SeqCst);
+            return Err(refused);
+        }
         *seq = request_id;
-        self.pending_lane.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -1699,6 +1706,89 @@ mod tests {
         for _ in 0..admitted {
             let _ = reply_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
+        close(&registry);
+    }
+
+    #[test]
+    fn refused_admission_leaves_the_write_queue_depth_unchanged() {
+        // The test holds the queue's receiving end, so nothing dequeues.
+        let handle = SessionHandle::new("q");
+        let (lane_tx, lane_rx) = mpsc::sync_channel(1);
+        let (reply_tx, _reply_rx) = mpsc::channel();
+        let admit = |id: u64| {
+            let meta = EnvMeta::v2(Some(id), "q");
+            handle
+                .admit_lane(&lane_tx, meta, Command::Ping, None, reply_tx.clone())
+                .map_err(|refused| match refused {
+                    TrySendError::Full(_) => "full",
+                    TrySendError::Disconnected(_) => "disconnected",
+                })
+        };
+        admit(1).unwrap();
+        assert_eq!(handle.write_queue_depth(), 1);
+        assert_eq!(admit(2), Err("full"));
+        assert_eq!(handle.write_queue_depth(), 1);
+        drop(lane_rx);
+        assert_eq!(admit(3), Err("disconnected"));
+        assert_eq!(handle.write_queue_depth(), 1);
+    }
+
+    #[test]
+    fn write_queue_depth_never_exceeds_the_queue_depth() {
+        // Keep at most `DEPTH` requests outstanding, so no admission is
+        // refused and at most `DEPTH` jobs wait at any instant. The lane
+        // reads the gauge into every `stats` reply, and a watcher thread
+        // polls it as another session's `metrics` scrape would. A job
+        // counted only after `try_send` can be dequeued first, and the
+        // gauge then wraps below zero; the watcher's load on the cores
+        // makes that interleaving common.
+        const DEPTH: usize = 4;
+        const ROUNDS: u64 = 3000;
+        let shared = Arc::new(Shared::new(DEPTH));
+        let registry = Registry::new(DEPTH, Arc::clone(&shared), None, None, None);
+        let entry = registry.session("w").map_err(|_| ()).unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let watcher = {
+            let (handle, done) = (Arc::clone(&entry.handle), Arc::clone(&done));
+            thread::spawn(move || {
+                let mut worst = 0;
+                while !done.load(Ordering::SeqCst) {
+                    worst = worst.max(handle.write_queue_depth());
+                }
+                worst
+            })
+        };
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let (mut sent, mut outstanding) = (0u64, 0usize);
+        let mut worst_reply = 0.0f64;
+        while sent < ROUNDS || outstanding > 0 {
+            if sent < ROUNDS && outstanding < DEPTH {
+                sent += 1;
+                let meta = EnvMeta::v2(Some(sent), "w");
+                entry
+                    .handle
+                    .admit_lane(&entry.lane_tx, meta, Command::Stats, None, reply_tx.clone())
+                    .expect("an outstanding window within the queue depth");
+                outstanding += 1;
+                continue;
+            }
+            let resp = reply_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            outstanding -= 1;
+            let depth = parse(&resp)
+                .unwrap()
+                .get("result")
+                .and_then(|r| r.get("write_queue_depth"))
+                .and_then(Value::as_f64)
+                .unwrap_or_else(|| panic!("no write_queue_depth in {resp}"));
+            worst_reply = worst_reply.max(depth);
+        }
+        done.store(true, Ordering::SeqCst);
+        let worst_polled = watcher.join().unwrap();
+        assert!(
+            worst_reply <= DEPTH as f64,
+            "a stats reply read {worst_reply}"
+        );
+        assert!(worst_polled <= DEPTH, "the watcher read {worst_polled}");
         close(&registry);
     }
 

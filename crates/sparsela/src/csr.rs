@@ -151,28 +151,6 @@ impl CsrMatrix {
         (0..self.num_rows()).map(|i| self.row_dot(i, x)).collect()
     }
 
-    /// Dense transposed product `z = Aᵀ·y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != num_rows`.
-    pub fn matvec_t(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.num_rows(), "matvec_t: dimension mismatch");
-        obs::counter_add("sparsela.matvec.calls", 1);
-        obs::counter_add("sparsela.matvec.rows", self.num_rows() as u64);
-        let mut z = vec![0.0; self.num_cols];
-        for (i, &yi) in y.iter().enumerate() {
-            if yi == 0.0 {
-                continue;
-            }
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                z[c as usize] += v * yi;
-            }
-        }
-        z
-    }
-
     /// Accumulates `alpha · rowᵢᵀ` into dense `z` (scattered axpy — the
     /// inner operation of stochastic gradient steps).
     ///
@@ -311,37 +289,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Parallel squared row norms; bit-identical to
-    /// [`Self::row_norms_sq`] for every thread count (same per-row
-    /// fixed-order sums, serial fallback below [`PAR_ROW_THRESHOLD`]).
-    pub fn row_norms_sq_par(&self, par: Parallelism) -> Vec<f64> {
-        let m = self.num_rows();
-        if par.is_serial() || m < PAR_ROW_THRESHOLD {
-            return self.row_norms_sq();
-        }
-        let mut norms = vec![0.0; m];
-        parallel::par_fill(par, &mut norms, |i| self.row_norm_sq(i));
-        norms
-    }
-
-    /// Parallel transposed product `z = Aᵀ·y` via [`Self::transpose`].
-    ///
-    /// Entry `z[j]` is a fixed-order dot product of transpose row `j`
-    /// (original rows ascending), so the result is bit-identical for
-    /// every thread count — including one. It can differ in final bits
-    /// from [`Self::matvec_t`], which accumulates in row-major scatter
-    /// order. Iterative solvers should cache [`Self::transpose`] once
-    /// and call [`Self::matvec_par`] on it instead of paying the
-    /// transposition on every call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != num_rows`.
-    pub fn matvec_t_par(&self, y: &[f64], par: Parallelism) -> Vec<f64> {
-        assert_eq!(y.len(), self.num_rows(), "matvec_t_par: dimension mismatch");
-        self.transpose().matvec_par(y, par)
-    }
-
     /// The transpose as a new CSR matrix (counting sort over columns,
     /// `O(nnz + cols)`). Within each transpose row, entries keep the
     /// original row order, making transpose-based products reproducible.
@@ -378,17 +325,6 @@ impl CsrMatrix {
             col_idx,
             values,
         }
-    }
-
-    /// Column coverage: how many of the columns have at least one stored
-    /// entry. The paper's §3.2 gate-coverage argument is exactly this
-    /// statistic on the selected-path matrix.
-    pub fn covered_columns(&self) -> usize {
-        let mut seen = vec![false; self.num_cols];
-        for &c in &self.col_idx {
-            seen[c as usize] = true;
-        }
-        seen.iter().filter(|&&s| s).count()
     }
 }
 
@@ -438,14 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_t_matches_dense() {
-        let a = small();
-        let y = [1.0, 2.0, 3.0];
-        // Aᵀy = [1*1+4*3, 3*2+5*3, 2*1+6*3]
-        assert_eq!(a.matvec_t(&y), vec![13.0, 21.0, 20.0]);
-    }
-
-    #[test]
     fn row_norms() {
         let a = small();
         assert_eq!(a.row_norm_sq(0), 5.0);
@@ -486,14 +414,6 @@ mod tests {
         assert_eq!(c.row(2).0.len(), 0);
         let (empty, none) = CsrBuilder::new(4).build().compact_columns();
         assert_eq!((empty.shape(), none.len()), ((0, 0), 0));
-    }
-
-    #[test]
-    fn covered_columns_counts_nonempty() {
-        let a = small();
-        assert_eq!(a.covered_columns(), 3);
-        let s = a.select_rows(&[1]);
-        assert_eq!(s.covered_columns(), 1);
     }
 
     #[test]
@@ -540,31 +460,14 @@ mod tests {
         use parallel::Parallelism;
         let a = large(3000, 200);
         let x: Vec<f64> = (0..200).map(|j| (j as f64 * 0.11).sin()).collect();
-        let y: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.07).cos()).collect();
         let serial = Parallelism::serial();
         for threads in [2, 4] {
             let par = Parallelism::new(threads);
             assert_eq!(a.matvec_par(&x, serial), a.matvec_par(&x, par));
-            assert_eq!(a.row_norms_sq_par(serial), a.row_norms_sq_par(par));
-            assert_eq!(a.matvec_t_par(&y, serial), a.matvec_t_par(&y, par));
         }
-        // The parallel row kernels reuse the per-row serial dots, so they
-        // also match the plain serial entry points exactly.
+        // The parallel row kernel reuses the per-row serial dots, so it
+        // also matches the plain serial entry point exactly.
         assert_eq!(a.matvec_par(&x, Parallelism::new(4)), a.matvec(&x));
-        assert_eq!(a.row_norms_sq_par(Parallelism::new(4)), a.row_norms_sq());
-    }
-
-    #[test]
-    fn matvec_t_par_matches_serial_scatter() {
-        use parallel::Parallelism;
-        let a = large(1000, 64);
-        let y: Vec<f64> = (0..1000).map(|i| ((i % 9) as f64) - 4.0).collect();
-        let scatter = a.matvec_t(&y);
-        let par = a.matvec_t_par(&y, Parallelism::new(4));
-        assert_eq!(scatter.len(), par.len());
-        for (s, p) in scatter.iter().zip(&par) {
-            assert!((s - p).abs() < 1e-9, "{s} vs {p}");
-        }
     }
 
     #[test]
@@ -667,8 +570,8 @@ mod tests {
             }
         }
 
-        /// Aᵀ(A x) computed via matvec_t equals the dense normal-equation
-        /// product.
+        /// Aᵀ(A x) computed through the transpose equals the dense
+        /// normal-equation product.
         #[test]
         fn prop_transpose_consistent(
             rows in prop::collection::vec(
@@ -683,7 +586,7 @@ mod tests {
             }
             let a = b.build();
             let ax = a.matvec(&x);
-            let atax = a.matvec_t(&ax);
+            let atax = a.transpose().matvec(&ax);
             // Reference: accumulate dense AᵀA x.
             let mut dense = vec![vec![0.0; 6]; rows.len()];
             for (i, row) in rows.iter().enumerate() {

@@ -200,16 +200,6 @@ impl DeratingTable {
         let hi = at(di + 1, ki) * (1.0 - kt) + at(di + 1, ki + 1) * kt;
         lo * (1.0 - dt) + hi * dt
     }
-
-    /// The depth axis.
-    pub fn depths(&self) -> &[f64] {
-        &self.depths
-    }
-
-    /// The distance axis (µm).
-    pub fn distances(&self) -> &[f64] {
-        &self.distances
-    }
 }
 
 /// The complete derate configuration of an analysis run.

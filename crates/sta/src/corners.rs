@@ -15,7 +15,7 @@
 use crate::analysis::Sta;
 use crate::aocv::DerateSet;
 use crate::constraints::Sdc;
-use netlist::{BuildError, CellId, Netlist};
+use netlist::{BuildError, Netlist};
 use std::fmt::Write as _;
 
 /// One PVT corner: a name, a global delay scale, and a derate set.
@@ -151,14 +151,6 @@ impl MultiCornerSta {
             .expect("at least one corner")
     }
 
-    /// Per-endpoint worst setup slack across corners.
-    pub fn merged_setup_slack(&self, endpoint: CellId) -> f64 {
-        self.engines
-            .iter()
-            .map(|(_, s)| s.setup_slack(endpoint))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// A summary report of all corners.
     pub fn report(&self) -> String {
         let mut out = String::new();
@@ -228,24 +220,6 @@ mod tests {
     fn hold_is_worst_at_the_fast_corner() {
         let mc = multi(1002, 1500.0);
         assert_eq!(mc.hold_wns().corner, "fast");
-    }
-
-    #[test]
-    fn merged_slack_is_min_over_corners() {
-        let mc = multi(1003, 1500.0);
-        for e in mc
-            .corner("typical")
-            .unwrap()
-            .netlist()
-            .endpoints()
-            .into_iter()
-            .take(10)
-        {
-            let merged = mc.merged_setup_slack(e);
-            for c in ["slow", "typical", "fast"] {
-                assert!(merged <= mc.corner(c).unwrap().setup_slack(e) + 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -39,7 +39,6 @@
 
 pub mod analysis;
 pub mod aocv;
-pub mod aocv_format;
 pub mod constraints;
 pub mod corners;
 pub mod depth;
@@ -51,7 +50,6 @@ pub mod sdf;
 
 pub use analysis::{Sta, UpdateStats};
 pub use aocv::{DerateSet, DeratingTable};
-pub use aocv_format::{parse_aocv, write_aocv, AocvTable};
 pub use constraints::Sdc;
 pub use corners::{Corner, MultiCornerSta};
 pub use paths::{select_critical_paths, select_top_global_paths, Path};

@@ -1,13 +1,12 @@
 //! Error-path coverage for every text format the tools ingest: native
-//! netlists, structural Verilog, and Liberty libraries. Malformed input —
+//! netlists, structural Verilog, and EDIF. Malformed input —
 //! including every truncation of a valid document — must produce a typed
 //! error with useful context (line numbers, offending names), never a
 //! panic and never a silently wrong netlist.
 
 use mgba::MgbaError;
 use netlist::{
-    parse_liberty, parse_netlist, parse_verilog, write_liberty, write_netlist, write_verilog,
-    GeneratorConfig, Library, ParseNetlistError,
+    parse_netlist, parse_verilog, write_netlist, write_verilog, GeneratorConfig, ParseNetlistError,
 };
 
 fn small_text() -> String {
@@ -133,17 +132,6 @@ fn unknown_verilog_cell_type_is_named_in_the_error() {
 }
 
 #[test]
-fn every_truncation_of_a_liberty_library_errors_cleanly() {
-    let text = write_liberty(&Library::standard());
-    assert!(parse_liberty(&text).is_ok(), "fixture must be valid");
-    for (i, _) in text.char_indices().filter(|&(i, _)| i % 7 == 0) {
-        if let Err(e) = parse_liberty(&text[..i]) {
-            assert!(!e.to_string().is_empty());
-        }
-    }
-}
-
-#[test]
 fn every_truncation_of_an_edif_document_errors_cleanly() {
     let text = ingest::write_edif(&GeneratorConfig::small(3).generate());
     assert!(ingest::import_edif(&text).is_ok(), "fixture must be valid");
@@ -214,15 +202,4 @@ fn truncated_edif_through_the_shared_loader_keeps_its_location() {
     assert!(matches!(err, MgbaError::Parse(_)), "{err:?}");
     assert!(err.to_string().contains("edif"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn liberty_bad_attribute_value_is_rejected() {
-    let text = write_liberty(&Library::standard());
-    // Corrupt one numeric attribute value in an otherwise valid document.
-    let needle = "cap_per_um : ";
-    let start = text.find(needle).expect("fixture has attributes") + needle.len();
-    let end = start + text[start..].find(';').expect("attribute terminated");
-    let corrupted = format!("{}banana{}", &text[..start], &text[end..]);
-    assert!(parse_liberty(&corrupted).is_err());
 }
